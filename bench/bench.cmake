@@ -41,28 +41,6 @@ add_test(NAME bench_sweep_scaling_smoke
 set_tests_properties(bench_sweep_scaling_smoke PROPERTIES
   LABELS "smoke;tsan"
   PASS_REGULAR_EXPRESSION "determinism: all schedules bit-identical")
-zc_bench_binary(bench_serve_throughput)
-target_link_libraries(bench_serve_throughput PRIVATE zc_serve)
-
-# Smoke-run the serve-throughput harness: asserts the in-process service
-# answers every closed-loop request across the whole jobs x {cold,warm} grid,
-# that a warm plan cache beats a cold one by >= 3x in plan-only mode (the
-# cache-amortization claim), and that the observability stack — info-level
-# logging plus the flight recorder — costs <= 5% on the warm plan-mode path.
-# Absolute req/s is hardware-dependent and never gated. The single regex
-# spans both acceptance lines (CMake "." matches newlines), so both gates
-# must pass.
-add_test(NAME bench_serve_throughput_smoke
-  COMMAND bench_serve_throughput --procs=4
-          --bench-json=${CMAKE_BINARY_DIR}/bench/BENCH_serve_throughput_smoke.json)
-# RUN_SERIAL: the gates are throughput ratios; sharing the core with other
-# ctest jobs skews the compared cells unpredictably.
-set_tests_properties(bench_serve_throughput_smoke PROPERTIES
-  LABELS "smoke;tsan"
-  RUN_SERIAL TRUE
-  PASS_REGULAR_EXPRESSION
-    "acceptance: plan-mode warm/cold throughput >= 3x.*acceptance: observability overhead within 5%")
-
 zc_bench_binary(bench_tseries_overhead)
 target_link_libraries(bench_tseries_overhead PRIVATE zc_tseries)
 

@@ -4,15 +4,20 @@
 // overhead at <= 5% on the engine hot path and asserts the sink never
 // perturbs the simulation (bit-identical results on vs off).
 //
-// Methodology (shared with bench_serve_throughput's observability gate):
-// noise on a shared host only ever ADDS time, so each arm's minimum mean
+// Methodology: the engine runs on the calling thread, so each run is timed
+// in that thread's CPU time (CLOCK_THREAD_CPUTIME_ID), which excludes the
+// time the thread sat descheduled while other processes held the core.
+// Within a repetition the two arms alternate run by run, so the host's
+// slow drift (neighbours' cache and frequency pressure) lands on both
+// alike. What noise remains only ever ADDS time, so each arm's minimum mean
 // across order-alternated repetitions is its least-contaminated estimate;
 // the gate compares those minima. A busy stretch can still contaminate
 // every rep of one attempt, so a failing verdict is re-measured (up to
 // three attempts, minima accumulated across all of them) — a genuine
 // regression stays above the gate in every window, a noise spike clears.
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -27,24 +32,41 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using namespace zc;
 
-/// Mean seconds per run over `iters` runs, timeline attached or not. The
-/// series is constructed once per rep (its windows fold across runs — the
-/// realistic long-lived-sink shape; construction is off the clock anyway).
-double mean_run_seconds(const zir::Program& program, const comm::CommPlan& plan,
-                        const sim::RunConfig& base, int iters, bool attached) {
+/// CPU seconds consumed by the calling thread so far.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+struct RepSeconds {
+  double off = 0.0;  ///< mean thread-CPU seconds per run, timeline detached
+  double on = 0.0;   ///< same, timeline attached
+};
+
+/// One rep: `iters` runs of each arm, interleaved run by run (`on_first`
+/// picks which arm leads each pair) so that slow drift in the host's speed
+/// lands on both arms alike. The series is constructed once per rep (its
+/// windows fold across runs — the realistic long-lived-sink shape;
+/// construction is off the clock anyway).
+RepSeconds rep_seconds(const zir::Program& program, const comm::CommPlan& plan,
+                       const sim::RunConfig& base, int iters, bool on_first) {
   tseries::SimSeries series(base.procs);
-  sim::RunConfig cfg = base;
-  cfg.timeline = attached ? &series : nullptr;
-  const Clock::time_point t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
-    const sim::RunResult result = sim::run_program(program, plan, cfg);
-    if (result.total_messages == 0) std::abort();  // not a real run
+  sim::RunConfig attached = base;
+  attached.timeline = &series;
+  RepSeconds total;
+  for (int i = 0; i < 2 * iters; ++i) {
+    const bool on = (i % 2 == 0) == on_first;
+    const double t0 = thread_cpu_seconds();
+    {
+      const sim::RunResult result = sim::run_program(program, plan, on ? attached : base);
+      if (result.total_messages == 0) std::abort();  // not a real run
+    }
+    (on ? total.on : total.off) += thread_cpu_seconds() - t0;
   }
-  return std::chrono::duration<double>(Clock::now() - t0).count() /
-         static_cast<double>(iters);
+  return {total.off / iters, total.on / iters};
 }
 
 }  // namespace
@@ -62,7 +84,7 @@ int main(int argc, char** argv) {
   base.config_overrides = {{"n", 64}, {"iters", 4}};
 
   std::cout << "== Timeline sink overhead: engine runs, timeline off vs on ==\n"
-            << "jacobi/pl, procs=" << procs << "\n\n";
+            << "jacobi/pl, procs=" << procs << ", timed in thread CPU time\n\n";
 
   // Bit-identity first: attaching the sink must not change the simulation.
   tseries::SimSeries probe(procs);
@@ -88,15 +110,11 @@ int main(int argc, char** argv) {
                 << ")\n";
     }
     for (int r = 0; r < kReps; ++r) {
-      const bool on_first = r % 2 == 1;
-      const double first = mean_run_seconds(program, plan, base, kIters, on_first);
-      const double second = mean_run_seconds(program, plan, base, kIters, !on_first);
-      const double off_s = on_first ? second : first;
-      const double on_s = on_first ? first : second;
-      std::cout << "rep " << r << ": off " << off_s * 1e6 << " us/run, on "
-                << on_s * 1e6 << " us/run\n";
-      off_samples.push_back(off_s);
-      on_samples.push_back(on_s);
+      const RepSeconds rep = rep_seconds(program, plan, base, kIters, r % 2 == 1);
+      std::cout << "rep " << r << ": off " << rep.off * 1e6 << " us/run, on "
+                << rep.on * 1e6 << " us/run\n";
+      off_samples.push_back(rep.off);
+      on_samples.push_back(rep.on);
     }
     const auto minimum = [](const std::vector<double>& v) {
       return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());

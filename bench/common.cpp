@@ -217,12 +217,10 @@ std::vector<Row> run_experiments(const programs::BenchmarkInfo& info,
   if (!missing.empty()) {
     std::vector<exec::SweepItem> items;
     for (const std::string& name : missing) {
-      const auto exp = driver::find_experiment(name);
-      if (!exp.has_value()) throw Error("unknown experiment '" + name + "'");
       exec::SweepItem item;
       item.label = key_for(name);
       item.program = program;
-      item.experiment = *exp;
+      item.experiment = driver::experiment(name);
       item.procs = options.procs;
       item.config_overrides = scale_for(info, options);
       items.push_back(std::move(item));

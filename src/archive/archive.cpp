@@ -31,11 +31,6 @@ bool skip_block(const std::string& key) {
 std::string element_label(const Value& v, std::size_t index) {
   if (v.is_object()) {
     if (v.has("name") && v.at("name").is_string()) return v.at("name").string;
-    // The serve-throughput grid: cells keyed by mode/cache/jobs.
-    if (v.has("mode") && v.has("cache") && v.has("jobs")) {
-      return v.at("mode").string + ":" + v.at("cache").string + ":j" +
-             std::to_string(static_cast<long long>(v.at("jobs").number));
-    }
   }
   return std::to_string(index);
 }

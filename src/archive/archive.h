@@ -4,7 +4,7 @@
 // blank lines and surface (rather than die on) unparseable ones.
 //
 // On top of the raw records sits the metric view: every payload schema the
-// repo produces (zcomm-bench-perf, the sweep/serve/tseries harness docs,
+// repo produces (zcomm-bench-perf, the sweep/tseries harness docs,
 // zcomm-run-report) flattens into named numeric metrics with a measurement
 // direction, so trend statistics and regression gates (trend.h) work
 // uniformly over all of them.
@@ -27,7 +27,7 @@ enum class Direction { kLowerIsBetter, kHigherIsBetter, kNeutral };
 Direction direction_for(const std::string& metric);
 
 /// One extracted measurement: `metric` is a dotted path within the payload
-/// ("tomcatv/pl.median_ns", "cells.plan:warm:j1.reqs_per_sec").
+/// ("tomcatv/pl.median_ns", "plan_cache_hit_rate").
 struct Measurement {
   std::string metric;
   double value = 0.0;

@@ -3,7 +3,7 @@
 // embedded in <script type="application/json"> blocks), so it can be
 // attached to a PR, served from a dumb file host, or opened from disk.
 //
-// Anatomy (DESIGN.md §14):
+// Anatomy (DESIGN.md §12):
 //   header      archive path, record count, host classes seen
 //   per bench   one table: metric x host-class rows with an SVG sparkline
 //               of the series, n / median / noise band, latest value and

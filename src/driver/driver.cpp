@@ -6,6 +6,7 @@
 #include "src/prof/procstat.h"
 #include "src/prof/prof.h"
 #include "src/support/check.h"
+#include "src/support/diag.h"
 #include "src/support/metrics.h"
 
 namespace zc::driver {
@@ -34,6 +35,12 @@ std::optional<Experiment> find_experiment(std::string_view name) {
     if (e.name == name) return std::move(e);
   }
   return std::nullopt;
+}
+
+Experiment experiment(std::string_view name) {
+  std::optional<Experiment> e = find_experiment(name);
+  if (!e.has_value()) throw Error("unknown experiment '" + std::string(name) + "'");
+  return std::move(*e);
 }
 
 Compiled compile(std::string_view source, const comm::OptOptions& opts) {

@@ -36,6 +36,10 @@ std::vector<Experiment> paper_experiments();
 /// "pl with shmem", "pl with max latency").
 std::optional<Experiment> find_experiment(std::string_view name);
 
+/// Checked lookup: the named paper experiment; throws zc::Error on an
+/// unknown name.
+Experiment experiment(std::string_view name);
+
 /// A compiled program: the IR plus its communication plan.
 struct Compiled {
   zir::Program program;

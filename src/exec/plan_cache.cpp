@@ -1,6 +1,5 @@
 #include "src/exec/plan_cache.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -9,9 +8,8 @@
 
 namespace zc::exec {
 
-std::string plan_key_for_text(std::string_view program_text,
-                              const comm::OptOptions& options,
-                              std::string_view machine_salt) {
+std::string plan_key(const zir::Program& program, const comm::OptOptions& options,
+                     std::string_view machine_salt) {
   // Every semantic OptOptions field participates; pass_log deliberately does
   // not (see the header contract). The program is keyed by its canonical
   // printed form, which two structurally identical programs share no matter
@@ -28,13 +26,8 @@ std::string plan_key_for_text(std::string_view program_text,
       << "est_mesh_rows=" << options.est_mesh_rows << '\n'
       << "est_mesh_cols=" << options.est_mesh_cols << '\n'
       << "program:\n"
-      << program_text;
+      << zir::to_source(program);
   return std::move(key).str();
-}
-
-std::string plan_key(const zir::Program& program, const comm::OptOptions& options,
-                     std::string_view machine_salt) {
-  return plan_key_for_text(zir::to_source(program), options, machine_salt);
 }
 
 std::uint64_t fnv1a(std::string_view s) {
@@ -46,78 +39,22 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-long long plan_size_bytes(const comm::CommPlan& plan) {
-  long long bytes = static_cast<long long>(sizeof(comm::CommPlan));
-  for (const comm::BlockPlan& block : plan.blocks) {
-    bytes += static_cast<long long>(sizeof(block));
-    bytes += static_cast<long long>(block.stmts.size() * sizeof(zir::StmtId));
-    bytes += static_cast<long long>(block.transfers.size() * sizeof(comm::Transfer));
-    for (const comm::CommGroup& group : block.groups) {
-      bytes += static_cast<long long>(sizeof(group));
-      bytes += static_cast<long long>(group.members.size() * sizeof(comm::Member));
-    }
-  }
-  return bytes;
-}
-
-json::Value PlanCacheStats::to_json() const {
-  json::Value v = json::Value::make_object();
-  v["hits"] = json::Value::make_int(hits);
-  v["misses"] = json::Value::make_int(misses);
-  v["evictions"] = json::Value::make_int(evictions);
-  v["entries"] = json::Value::make_int(entries);
-  v["bytes"] = json::Value::make_int(bytes);
-  v["hit_rate"] = json::Value::make_num(hit_rate());
-  return v;
-}
-
 PlanCache::PlanCache() : PlanCache(Options{}) {}
 
-PlanCache::PlanCache(Options options) : options_(std::move(options)) {
-  hash_ = options_.hash ? options_.hash : fnv1a;
-  const int shards = std::max(1, options_.shards);
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    // The budget splits evenly; the first shard absorbs the remainder so
-    // the slices sum exactly to the configured budget.
-    if (options_.byte_budget > 0) {
-      shard->byte_budget = options_.byte_budget / shards +
-                           (i == 0 ? options_.byte_budget % shards : 0);
-      shard->byte_budget = std::max<long long>(shard->byte_budget, 1);
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-PlanCache::Shard& PlanCache::shard_for(std::uint64_t hash) const {
-  return *shards_[hash % shards_.size()];
-}
+PlanCache::PlanCache(Options options)
+    : hash_(options.hash ? std::move(options.hash) : fnv1a) {}
 
 std::shared_ptr<const comm::CommPlan> PlanCache::get_or_plan(const zir::Program& program,
                                                              const comm::OptOptions& options,
                                                              std::string_view machine_salt) {
-  return get_or_plan_keyed(plan_key(program, options, machine_salt), program, options);
-}
-
-std::shared_ptr<const comm::CommPlan> PlanCache::get_or_plan(const zir::Program& program,
-                                                             std::string_view program_text,
-                                                             const comm::OptOptions& options,
-                                                             std::string_view machine_salt) {
-  return get_or_plan_keyed(plan_key_for_text(program_text, options, machine_salt),
-                           program, options);
-}
-
-std::shared_ptr<const comm::CommPlan> PlanCache::get_or_plan_keyed(
-    std::string key, const zir::Program& program, const comm::OptOptions& options) {
+  std::string key = plan_key(program, options, machine_salt);
   const std::uint64_t h = hash_(key);
-  Shard& shard = shard_for(h);
 
-  std::shared_ptr<Entry> entry;  // pins the entry across eviction
+  std::shared_ptr<Entry> entry;
   bool inserted = false;
   {
-    const std::lock_guard<std::mutex> lk(shard.mu);
-    std::vector<std::shared_ptr<Entry>>& bucket = shard.buckets[h];
+    const std::lock_guard<std::mutex> lk(mu_);
+    std::vector<std::shared_ptr<Entry>>& bucket = buckets_[h];
     for (const std::shared_ptr<Entry>& candidate : bucket) {
       if (candidate->key == key) {  // full-key compare: collisions only probe
         entry = candidate;
@@ -126,130 +63,36 @@ std::shared_ptr<const comm::CommPlan> PlanCache::get_or_plan_keyed(
     }
     if (entry == nullptr) {
       entry = std::make_shared<Entry>();
-      bucket.push_back(entry);
       entry->key = std::move(key);
-      shard.lru.push_front(entry.get());
-      entry->lru = shard.lru.begin();
-      ++shard.stats.entries;
-      ++shard.stats.misses;
+      bucket.push_back(entry);
+      ++stats_.misses;
       inserted = true;
     } else {
-      ++shard.stats.hits;
-      touch_locked(shard, *entry);
+      ++stats_.hits;
     }
   }
 
-  if (inserted) {
-    metrics::Registry::current().count("exec.plan_cache.misses");
-  } else {
-    metrics::Registry::current().count("exec.plan_cache.hits");
-  }
+  metrics::Registry::current().count(inserted ? "exec.plan_cache.misses"
+                                              : "exec.plan_cache.hits");
 
   // Planning runs outside the table lock: concurrent distinct keys plan in
-  // parallel; concurrent requests for the same key block on one planning run.
+  // parallel; concurrent requests for the same key block on one planning run,
+  // and call_once orders their read of `plan` after this store.
   std::call_once(entry->once, [&] {
     comm::OptOptions clean = options;
     clean.pass_log = nullptr;  // plans are bit-identical without a log
-    auto plan = std::make_shared<comm::CommPlan>(comm::plan_communication(program, clean));
-    const long long bytes =
-        plan_size_bytes(*plan) + static_cast<long long>(entry->key.size());
-    // Publication happens under the shard lock: peek() and the eviction scan
-    // read other entries' plan pointers while holding it, and either can land
-    // on this entry mid-fill. Waiters on the once_flag need no lock — call_once
-    // orders their reads after this store.
-    account_and_evict(shard, *entry, std::move(plan), bytes);
+    entry->plan = std::make_shared<comm::CommPlan>(comm::plan_communication(program, clean));
   });
   return entry->plan;
 }
 
-std::shared_ptr<const comm::CommPlan> PlanCache::peek(const std::string& key) const {
-  const std::uint64_t h = hash_(key);
-  Shard& shard = shard_for(h);
-  const std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.buckets.find(h);
-  if (it == shard.buckets.end()) return nullptr;
-  for (const std::shared_ptr<Entry>& candidate : it->second) {
-    if (candidate->key == key) return candidate->plan;
-  }
-  return nullptr;
-}
-
 PlanCacheStats PlanCache::stats() const {
-  PlanCacheStats total;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::lock_guard<std::mutex> lk(shard->mu);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.evictions += shard->stats.evictions;
-    total.entries += shard->stats.entries;
-    total.bytes += shard->stats.bytes;
-  }
-  return total;
-}
-
-void PlanCache::clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::lock_guard<std::mutex> lk(shard->mu);
-    shard->buckets.clear();
-    shard->lru.clear();
-    shard->stats.entries = 0;
-    shard->stats.bytes = 0;
-  }
-}
-
-void PlanCache::touch_locked(Shard& shard, Entry& entry) {
-  shard.lru.erase(entry.lru);
-  shard.lru.push_front(&entry);
-  entry.lru = shard.lru.begin();
-}
-
-void PlanCache::account_and_evict(Shard& shard, Entry& entry,
-                                  std::shared_ptr<const comm::CommPlan> plan,
-                                  long long bytes) {
-  long long evicted = 0;
-  {
-    const std::lock_guard<std::mutex> lk(shard.mu);
-    entry.bytes = bytes;
-    entry.plan = std::move(plan);
-    shard.stats.bytes += entry.bytes;
-    if (shard.byte_budget > 0) {
-      // Evict least-recently-used *completed* entries (a still-planning entry
-      // has bytes == 0 and owners waiting on its once_flag) until under
-      // budget; never the entry just filled, so a plan larger than the whole
-      // budget still gets returned and merely won't be retained long.
-      auto it = shard.lru.end();
-      while (shard.stats.bytes > shard.byte_budget && it != shard.lru.begin()) {
-        --it;
-        Entry* victim = *it;
-        if (victim == &entry || victim->plan == nullptr) continue;
-        shard.stats.bytes -= victim->bytes;
-        --shard.stats.entries;
-        ++shard.stats.evictions;
-        ++evicted;
-        const std::uint64_t h = hash_(victim->key);
-        it = shard.lru.erase(it);
-        std::vector<std::shared_ptr<Entry>>& bucket = shard.buckets[h];
-        for (auto b = bucket.begin(); b != bucket.end(); ++b) {
-          if (b->get() == victim) {
-            bucket.erase(b);
-            break;
-          }
-        }
-        if (bucket.empty()) shard.buckets.erase(h);
-      }
-    }
-  }
-  if (evicted > 0) {
-    metrics::Registry::current().count("exec.plan_cache.evictions", evicted);
-  }
+  const std::lock_guard<std::mutex> lk(mu_);
+  return stats_;
 }
 
 PlanCache& PlanCache::process() {
-  static PlanCache cache{[] {
-    Options options;
-    options.shards = kProcessShards;
-    return options;
-  }()};
+  static PlanCache cache;
   return cache;
 }
 

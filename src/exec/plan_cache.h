@@ -19,26 +19,15 @@
 // verified by full key comparison, so hash collisions cost a probe, never
 // correctness (tests force a degenerate constant hash to pin this).
 //
-// Concurrency: the table is split into `Options::shards` independently
-// mutex-guarded shards (keys route by bucket hash), so concurrent lookups
-// of different keys contend only within a shard — the process-wide cache a
-// long-running server answers from uses 16 shards; the default is 1, which
-// is exactly the single-lock behaviour. Planning itself runs outside any
-// table lock under a per-entry std::call_once, so two workers asking for
-// the same key block on one planning run while different keys plan in
-// parallel. Hit/miss totals are deterministic for a fixed work set
-// (misses == distinct keys) regardless of scheduling or shard count.
-//
-// Eviction: an optional byte budget (approximate plan + key footprint)
-// evicts least-recently-used *completed* entries; shared_ptr keeps evicted
-// plans alive for the runs still holding them. With shards > 1 the budget
-// splits evenly and LRU order is per-shard — approximate global LRU, exact
-// conservation: entries == misses - evictions always holds in aggregate.
+// Concurrency: one mutex guards the table. Planning itself runs outside the
+// lock under a per-entry std::call_once, so two workers asking for the same
+// key block on one planning run while different keys plan in parallel.
+// Hit/miss totals are deterministic for a fixed work set (misses == distinct
+// keys) regardless of scheduling. Entries live as long as the cache.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,7 +36,6 @@
 #include <vector>
 
 #include "src/comm/optimizer.h"
-#include "src/support/json.h"
 
 namespace zc::exec {
 
@@ -55,26 +43,12 @@ namespace zc::exec {
 std::string plan_key(const zir::Program& program, const comm::OptOptions& options,
                      std::string_view machine_salt);
 
-/// Same key, from an already-printed canonical program text (the
-/// zir::to_source output). Lets a caller that looks the same program up
-/// many times — the serve hot path — pay the program serialization once.
-std::string plan_key_for_text(std::string_view program_text,
-                              const comm::OptOptions& options,
-                              std::string_view machine_salt);
-
 /// 64-bit FNV-1a — the default bucket hash.
 std::uint64_t fnv1a(std::string_view s);
-
-/// Approximate resident size of a plan (vectors' element footprints); the
-/// unit the byte budget is accounted in.
-long long plan_size_bytes(const comm::CommPlan& plan);
 
 struct PlanCacheStats {
   long long hits = 0;
   long long misses = 0;
-  long long evictions = 0;
-  long long entries = 0;  ///< currently resident
-  long long bytes = 0;    ///< approximate resident footprint
 
   [[nodiscard]] long long lookups() const { return hits + misses; }
 
@@ -82,31 +56,15 @@ struct PlanCacheStats {
     const long long total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
   }
-
-  /// Serve-facing exposition: {hits, misses, evictions, entries, bytes,
-  /// hit_rate} — what a {"cmd":"stats"} response embeds.
-  [[nodiscard]] json::Value to_json() const;
 };
 
 class PlanCache {
  public:
   struct Options {
-    /// 0 = unlimited. Otherwise evict LRU completed entries whenever the
-    /// approximate resident footprint exceeds this (split evenly across
-    /// shards when shards > 1).
-    long long byte_budget = 0;
-    /// Lock stripes: keys route to shards by bucket hash, each shard with
-    /// its own mutex, table, LRU list, and budget slice. 1 (the default)
-    /// is the exact single-lock, global-LRU behaviour; values < 1 clamp
-    /// to 1. The process() cache uses kProcessShards.
-    int shards = 1;
     /// Test seam: override the bucket hash (e.g. a constant, to force every
     /// key into one bucket and exercise collision handling).
     std::function<std::uint64_t(std::string_view)> hash;
   };
-
-  /// Stripe count for the shared process-wide cache (the serve hot path).
-  static constexpr int kProcessShards = 16;
 
   PlanCache();
   explicit PlanCache(Options options);
@@ -118,61 +76,24 @@ class PlanCache {
                                                     const comm::OptOptions& options,
                                                     std::string_view machine_salt = "");
 
-  /// Same lookup with the program's canonical text (zir::to_source output)
-  /// supplied by the caller, skipping the per-lookup serialization — the
-  /// serve hot path, where the text is memoized alongside the program.
-  /// `program_text` MUST be to_source(program) or lookups silently fork.
-  std::shared_ptr<const comm::CommPlan> get_or_plan(const zir::Program& program,
-                                                    std::string_view program_text,
-                                                    const comm::OptOptions& options,
-                                                    std::string_view machine_salt);
-
-  /// Lookup without planning (nullptr on miss; does not count hit/miss).
-  [[nodiscard]] std::shared_ptr<const comm::CommPlan> peek(const std::string& key) const;
-
   [[nodiscard]] PlanCacheStats stats() const;
-  void clear();
 
   /// The process-wide cache the bench harnesses and CLI sweeps share.
   static PlanCache& process();
 
  private:
-  // Entries are shared_ptr-owned so a looked-up entry stays alive for the
-  // caller holding it even if eviction drops it from the table meanwhile.
+  // Entries are shared_ptr-owned so a bucket can grow (moving its elements)
+  // while another thread is still planning or reading an entry it found.
   struct Entry {
     std::string key;
     std::once_flag once;
-    // plan/bytes are published under the shard lock (peek and the eviction
-    // scan read them through other entries' pointers while holding it); the
-    // filling thread's waiters are additionally ordered by `once`.
-    std::shared_ptr<const comm::CommPlan> plan;
-    long long bytes = 0;
-    std::list<Entry*>::iterator lru;             // position in the shard's lru
+    std::shared_ptr<const comm::CommPlan> plan;  // written once, under `once`
   };
 
-  /// One lock stripe: its own table, LRU order, stats, and budget slice.
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<Entry>>> buckets;
-    std::list<Entry*> lru;  // front = most recently used
-    PlanCacheStats stats;
-    long long byte_budget = 0;  // this shard's slice; 0 = unlimited
-  };
-
-  std::shared_ptr<const comm::CommPlan> get_or_plan_keyed(std::string key,
-                                                          const zir::Program& program,
-                                                          const comm::OptOptions& options);
-
-  [[nodiscard]] Shard& shard_for(std::uint64_t hash) const;
-  static void touch_locked(Shard& shard, Entry& entry);
-  /// Publishes a freshly-planned entry's plan/bytes under the shard lock,
-  /// charges the budget, and evicts LRU completed entries past it.
-  void account_and_evict(Shard& shard, Entry& entry,
-                         std::shared_ptr<const comm::CommPlan> plan, long long bytes);
-
-  Options options_;
   std::function<std::uint64_t(std::string_view)> hash_;
-  mutable std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<Entry>>> buckets_;
+  PlanCacheStats stats_;
 };
 
 }  // namespace zc::exec

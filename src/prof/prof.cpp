@@ -183,33 +183,6 @@ Profiler::Tree Profiler::tree() const {
 
 namespace {
 
-void flat_node(const Profiler::Tree& t, int node, int depth, const std::string& prefix,
-               int max_depth, std::vector<Profiler::FlatSpan>& out) {
-  if (max_depth > 0 && depth >= max_depth) return;
-  const Node& n = t.nodes[node];
-  Profiler::FlatSpan row;
-  row.path = prefix.empty() ? n.name : prefix + "/" + n.name;
-  row.depth = depth;
-  row.count = n.count;
-  row.total_seconds = n.total_seconds;
-  row.self_seconds = t.self_seconds(node);
-  const std::string path = row.path;
-  out.push_back(std::move(row));
-  for (const int c : n.children) flat_node(t, c, depth + 1, path, max_depth, out);
-}
-
-}  // namespace
-
-std::vector<Profiler::FlatSpan> Profiler::flat(int max_depth) const {
-  const Tree t = tree();
-  std::vector<FlatSpan> out;
-  out.reserve(t.nodes.size());
-  for (const int r : t.roots) flat_node(t, r, 0, "", max_depth, out);
-  return out;
-}
-
-namespace {
-
 void text_node(const Profiler::Tree& t, int node, int depth, std::ostringstream& os) {
   const Node& n = t.nodes[node];
   std::string name(static_cast<std::size_t>(2 * depth), ' ');

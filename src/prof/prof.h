@@ -80,21 +80,6 @@ class Profiler {
   };
   [[nodiscard]] Tree tree() const;
 
-  /// One row of the flattened snapshot below.
-  struct FlatSpan {
-    std::string path;  ///< '/'-joined span names from the root
-    int depth = 0;     ///< 0 = a root span
-    long long count = 0;
-    double total_seconds = 0.0;
-    double self_seconds = 0.0;
-  };
-
-  /// The merged tree as depth-first rows — the span snapshot the serve
-  /// flight recorder embeds per request. `max_depth` > 0 keeps only rows
-  /// with depth < max_depth (1 = roots only); <= 0 keeps everything.
-  /// Each kept row's total still includes its pruned descendants.
-  [[nodiscard]] std::vector<FlatSpan> flat(int max_depth = 0) const;
-
   /// Indented text tree: count, total/self ms, bytes per node, preceded by
   /// a wall-time header (comm_explorer --profile).
   [[nodiscard]] std::string to_text() const;

@@ -21,7 +21,7 @@
 // Everything here preserves the lockstep engine's observable behaviour
 // bit-for-bit: the same arithmetic in the same order per element, the same
 // transport/recorder/timeline call sequence, the same error messages.
-// DESIGN.md §15 states the argument; tests/engine_event_test.cpp pins it.
+// DESIGN.md §13 states the argument; tests/engine_event_test.cpp pins it.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,7 @@
 //
 // Both cores produce bit-identical results: RunResult scalars/checksums,
 // communication counts, trace::Stats, and windowed timelines all match
-// exactly. DESIGN.md §15 explains why.
+// exactly. DESIGN.md §13 explains why.
 #pragma once
 
 #include <map>

@@ -17,7 +17,7 @@
 // in EventState, replayed per processor in the original order — float
 // addition is not associative, so the amounts are never coalesced. Barriers
 // (reductions, the SHMEM global synch) leave every clock equal, which both
-// empties and compacts the log. DESIGN.md §15 states the full argument.
+// empties and compacts the log. DESIGN.md §13 states the full argument.
 #include <algorithm>
 #include <cstring>
 

@@ -71,20 +71,6 @@ std::string compiler_id() {
 #endif
 }
 
-/// Escapes a Prometheus label value (backslash, quote, newline).
-std::string label_escape(const std::string& v) {
-  std::string out;
-  for (const char c : v) {
-    if (c == '\\' || c == '"') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 std::string get_str(const Value& v, const char* key) {
   return v.has(key) && v.at(key).is_string() ? v.at(key).string : "";
 }
@@ -177,15 +163,6 @@ const Build& current_build() {
     return b;
   }();
   return build;
-}
-
-std::string prometheus_build_info() {
-  const Build& b = current_build();
-  std::string out = "# TYPE zcomm_build_info gauge\n";
-  out += "zcomm_build_info{version=\"" + label_escape(kZcommVersion) + "\",compiler=\"" +
-         label_escape(b.compiler) + "\",build_type=\"" + label_escape(b.build_type) +
-         "\",sanitizer=\"" + label_escape(b.sanitize) + "\"} 1\n";
-  return out;
 }
 
 }  // namespace zc::fingerprint

@@ -1,9 +1,7 @@
 // Host and build fingerprints: who produced a measurement. The perf
 // archive (src/archive) stamps every envelope with both so trend queries
 // can refuse like-for-like comparisons across host classes, run reports
-// (schema v5) carry them in the optional "host" block, and the serve
-// daemon exposes the build side as the conventional Prometheus
-// `zcomm_build_info` gauge.
+// (schema v5) carry them in the optional "host" block.
 //
 // The host fingerprint is what timing numbers depend on: core count, the
 // CPU model string from /proc/cpuinfo, the page size, and whether the
@@ -18,7 +16,7 @@
 
 namespace zc::fingerprint {
 
-/// The project version stamped into build-info expositions and envelopes.
+/// The project version stamped into build fingerprints.
 inline constexpr const char* kZcommVersion = "0.9.0";
 
 struct Host {
@@ -52,10 +50,5 @@ struct Build {
 /// The fingerprints of this process / this binary (computed once).
 const Host& current_host();
 const Build& current_build();
-
-/// The standard build-info metric convention: a gauge with constant value 1
-/// whose labels carry the version/compiler/build/sanitizer identity, plus
-/// its `# TYPE` line — ready to append to a Prometheus exposition.
-std::string prometheus_build_info();
 
 }  // namespace zc::fingerprint

@@ -56,8 +56,8 @@ struct Value {
   [[nodiscard]] std::string dump(int indent = 2) const;
 };
 
-/// Guard rails for parsing untrusted input (the serve subsystem's request
-/// lines). Every limit violation throws zc::Error carrying the byte offset
+/// Guard rails for parsing untrusted input (archive lines, BENCH and report
+/// files). Every limit violation throws zc::Error carrying the byte offset
 /// where parsing stopped — there is no unbounded recursion or allocation
 /// path for any input.
 struct ParseLimits {

@@ -1,7 +1,6 @@
 #include "src/support/metrics.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "src/support/str.h"
 
@@ -69,44 +68,30 @@ void merge_histogram(Histogram& mine, const Histogram& theirs) {
 
 }  // namespace
 
-Registry::Shard& Registry::shard_for(std::string_view name) const {
-  // FNV-1a over the metric name; names are short and publishing is
-  // per-plan/per-run, so the hash cost is noise next to the lock it avoids.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return shards_[h % kShards];
-}
-
 void Registry::count(std::string_view name, long long delta) {
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.counters.find(name);
-  if (it == shard.counters.end()) {
-    shard.counters.emplace(std::string(name), delta);
+  const std::lock_guard<std::mutex> lk(mu_);
+  auto it = maps_.counters.find(name);
+  if (it == maps_.counters.end()) {
+    maps_.counters.emplace(std::string(name), delta);
   } else {
     it->second += delta;
   }
 }
 
 void Registry::gauge(std::string_view name, double value) {
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.gauges.find(name);
-  if (it == shard.gauges.end()) {
-    shard.gauges.emplace(std::string(name), value);
+  const std::lock_guard<std::mutex> lk(mu_);
+  auto it = maps_.gauges.find(name);
+  if (it == maps_.gauges.end()) {
+    maps_.gauges.emplace(std::string(name), value);
   } else {
     it->second = value;
   }
 }
 
 void Registry::observe(std::string_view name, double value, std::vector<double> bounds) {
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.histograms.find(name);
-  if (it == shard.histograms.end()) {
+  const std::lock_guard<std::mutex> lk(mu_);
+  auto it = maps_.histograms.find(name);
+  if (it == maps_.histograms.end()) {
     Histogram h;
     if (bounds.empty()) {
       for (double b = 1.0; b <= 1048576.0; b *= 2.0) h.bounds.push_back(b);
@@ -114,81 +99,59 @@ void Registry::observe(std::string_view name, double value, std::vector<double> 
       std::sort(bounds.begin(), bounds.end());
       h.bounds = std::move(bounds);
     }
-    it = shard.histograms.emplace(std::string(name), std::move(h)).first;
+    it = maps_.histograms.emplace(std::string(name), std::move(h)).first;
   }
   it->second.observe(value);
 }
 
 long long Registry::counter(std::string_view name) const {
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.counters.find(name);
-  return it == shard.counters.end() ? 0 : it->second;
+  const std::lock_guard<std::mutex> lk(mu_);
+  const auto it = maps_.counters.find(name);
+  return it == maps_.counters.end() ? 0 : it->second;
 }
 
 double Registry::gauge_value(std::string_view name) const {
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.gauges.find(name);
-  return it == shard.gauges.end() ? 0.0 : it->second;
+  const std::lock_guard<std::mutex> lk(mu_);
+  const auto it = maps_.gauges.find(name);
+  return it == maps_.gauges.end() ? 0.0 : it->second;
 }
 
 const Histogram* Registry::find_histogram(std::string_view name) const {
   // The pointer is only stable while no concurrent mutation runs; callers
   // are single-threaded inspectors (tests, report writers) by contract.
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.histograms.find(name);
-  return it == shard.histograms.end() ? nullptr : &it->second;
+  const std::lock_guard<std::mutex> lk(mu_);
+  const auto it = maps_.histograms.find(name);
+  return it == maps_.histograms.end() ? nullptr : &it->second;
 }
 
 bool Registry::empty() const {
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lk(shard.mu);
-    if (!shard.counters.empty() || !shard.gauges.empty() || !shard.histograms.empty()) {
-      return false;
-    }
-  }
-  return true;
+  const std::lock_guard<std::mutex> lk(mu_);
+  return maps_.counters.empty() && maps_.gauges.empty() && maps_.histograms.empty();
 }
 
 void Registry::reset() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lk(shard.mu);
-    shard.counters.clear();
-    shard.gauges.clear();
-    shard.histograms.clear();
-  }
+  const std::lock_guard<std::mutex> lk(mu_);
+  maps_ = Maps{};
 }
 
-Registry::Snapshot Registry::snapshot() const {
-  // One shard locked at a time — never two locks at once, so snapshotting
-  // can race publishers (each name is still read atomically under its
-  // shard's lock) and merge_from can never deadlock against another merge.
-  Snapshot snap;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lk(shard.mu);
-    snap.counters.insert(shard.counters.begin(), shard.counters.end());
-    snap.gauges.insert(shard.gauges.begin(), shard.gauges.end());
-    snap.histograms.insert(shard.histograms.begin(), shard.histograms.end());
-  }
-  return snap;
+Registry::Maps Registry::snapshot() const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  return maps_;
 }
 
 void Registry::merge_from(const Registry& other) {
   if (&other == this) return;
-  // Snapshot-then-apply: take the other registry's state one shard at a
-  // time, then publish into our own shards through the normal guarded
-  // paths. No two shard locks are ever held together.
-  const Snapshot snap = other.snapshot();
-  for (const auto& [name, value] : snap.counters) count(name, value);
-  for (const auto& [name, value] : snap.gauges) gauge(name, value);
+  // Snapshot-then-apply: copy the other registry's state under its lock,
+  // then fold it in under ours. The two locks are never held together, so
+  // two registries merging into each other cannot deadlock.
+  const Maps snap = other.snapshot();
+  const std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [name, value] : snap.counters) maps_.counters[name] += value;
+  for (const auto& [name, value] : snap.gauges) maps_.gauges[name] = value;
   for (const auto& [name, h] : snap.histograms) {
-    Shard& shard = shard_for(name);
-    const std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.histograms.find(name);
-    if (it == shard.histograms.end()) {
-      shard.histograms.emplace(name, h);
+    auto it = maps_.histograms.find(name);
+    if (it == maps_.histograms.end()) {
+      maps_.histograms.emplace(name, h);
     } else {
       merge_histogram(it->second, h);
     }
@@ -209,7 +172,7 @@ std::string render(double v) {
 }  // namespace
 
 std::string Registry::to_text() const {
-  const Snapshot snap = snapshot();
+  const Maps snap = snapshot();
   std::string out;
   for (const auto& [name, value] : snap.counters) {
     out += "counter " + name + " " + std::to_string(value) + "\n";
@@ -233,66 +196,8 @@ std::string Registry::to_text() const {
   return out;
 }
 
-namespace {
-
-/// Prometheus sample values: render()'s fixed precision with trailing
-/// zeros trimmed, so bucket bounds read le="0.01", not le="0.010000000".
-std::string prom_value(double v) {
-  std::string s = render(v);
-  if (s.find('.') != std::string::npos) {
-    while (s.back() == '0') s.pop_back();
-    if (s.back() == '.') s.pop_back();
-  }
-  return s;
-}
-
-/// Prometheus metric names admit [a-zA-Z0-9_:] only (and no leading
-/// digit); the registry's dotted names map onto that alphabet.
-std::string prom_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(out.begin(), '_');
-  return out;
-}
-
-}  // namespace
-
-std::string Registry::to_prometheus() const {
-  const Snapshot snap = snapshot();
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    const std::string n = prom_name(name);
-    out += "# TYPE " + n + " counter\n";
-    out += n + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    const std::string n = prom_name(name);
-    out += "# TYPE " + n + " gauge\n";
-    out += n + " " + prom_value(value) + "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    const std::string n = prom_name(name);
-    out += "# TYPE " + n + " histogram\n";
-    long long cumulative = 0;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      cumulative += h.buckets[i];
-      const std::string le = i < h.bounds.size() ? prom_value(h.bounds[i]) : "+Inf";
-      out += n + "_bucket{le=\"" + le + "\"} " + std::to_string(cumulative) + "\n";
-    }
-    if (h.buckets.empty()) out += n + "_bucket{le=\"+Inf\"} 0\n";
-    out += n + "_sum " + prom_value(h.sum) + "\n";
-    out += n + "_count " + std::to_string(h.count) + "\n";
-  }
-  return out;
-}
-
 json::Value Registry::to_json() const {
-  const Snapshot snap = snapshot();
+  const Maps snap = snapshot();
   using json::Value;
   Value doc = Value::make_object();
   Value counters = Value::make_object();

@@ -9,21 +9,17 @@
 // message, so the cost is negligible and the simulation's timing and
 // numerics are untouched.
 //
-// Threading: a Registry is striped — metric names hash onto a fixed set of
-// independently mutex-guarded shards, so concurrent publishers (the serve
-// subsystem's workers, sweep tasks running without a ScopedRegistry
-// redirect) contend only when they touch names that share a shard, not on
-// one global lock. Readers (to_text, to_json, merge_from) snapshot shard by
-// shard and render from a merged, name-sorted view, so exposition stays
-// deterministic. The subsystems publish into Registry::current() — a
-// thread-local redirect that defaults to the process-wide global(). The
-// parallel sweep engine (src/exec) installs a private registry per worker
-// task via ScopedRegistry and merges the per-task registries into the
-// submitter's at join, in submission order — so sweep totals are
-// deterministic regardless of how tasks were scheduled.
+// Threading: one mutex guards a Registry. Publishing is rare (per plan, per
+// run) and the hot concurrent publisher — the parallel sweep — never shares
+// one: the subsystems publish into Registry::current(), a thread-local
+// redirect that defaults to the process-wide global(), and the sweep engine
+// (src/exec) installs a private registry per worker task via ScopedRegistry
+// and merges the per-task registries into the submitter's at join, in
+// submission order — so sweep totals are deterministic regardless of how
+// tasks were scheduled. Exposition renders from the name-sorted maps, so it
+// is deterministic too.
 #pragma once
 
-#include <array>
 #include <map>
 #include <mutex>
 #include <string>
@@ -81,14 +77,6 @@ class Registry {
   /// "histograms": {name: {bounds, buckets, count, sum, min, max}}}.
   [[nodiscard]] json::Value to_json() const;
 
-  /// Prometheus text exposition (format version 0.0.4): metric names are
-  /// sanitized (every char outside [a-zA-Z0-9_:] becomes '_'), each metric
-  /// gets a `# TYPE` line, and histograms render as cumulative
-  /// `<name>_bucket{le="..."}` series (ending at le="+Inf") plus
-  /// `<name>_sum` / `<name>_count`. Deterministic: name-sorted, bit-stable
-  /// for a given registry state — what `GET /metrics` serves.
-  [[nodiscard]] std::string to_prometheus() const;
-
   /// Folds another registry into this one: counters add, gauges take the
   /// other's value (last write wins, and `other` is the later run), and
   /// histograms add bucket-wise when the bounds match — on a bounds mismatch
@@ -107,28 +95,18 @@ class Registry {
  private:
   friend class ScopedRegistry;
 
-  /// One lock stripe: the counters/gauges/histograms whose names hash here.
-  struct Shard {
-    mutable std::mutex mu;
+  /// The registry's name-sorted maps; copied out whole for exposition and
+  /// snapshot-then-apply merging.
+  struct Maps {
     std::map<std::string, long long, std::less<>> counters;
     std::map<std::string, double, std::less<>> gauges;
     std::map<std::string, Histogram, std::less<>> histograms;
   };
 
-  /// A name-sorted copy of every shard's maps (for deterministic exposition
-  /// and snapshot-then-apply merging).
-  struct Snapshot {
-    std::map<std::string, long long, std::less<>> counters;
-    std::map<std::string, double, std::less<>> gauges;
-    std::map<std::string, Histogram, std::less<>> histograms;
-  };
+  [[nodiscard]] Maps snapshot() const;
 
-  static constexpr std::size_t kShards = 16;
-
-  [[nodiscard]] Shard& shard_for(std::string_view name) const;
-  [[nodiscard]] Snapshot snapshot() const;
-
-  mutable std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  Maps maps_;
 };
 
 /// RAII redirect of Registry::current() for this thread — the sweep engine

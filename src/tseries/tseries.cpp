@@ -56,9 +56,12 @@ void Windows::add_span(int row, int channel, double t0, double t1) {
   const int first = std::min(window_count_ - 1, static_cast<int>(t0 / w));
   for (int i = first; i < window_count_; ++i) {
     const double lo = std::max(t0, static_cast<double>(i) * w);
+    if (lo >= t1) break;
+    // t0 / w can round down onto a window whose rounded upper edge is
+    // <= t0; that window's share is empty, but the span continues in the
+    // next one, so skip it rather than stop.
     const double hi = std::min(t1, static_cast<double>(i + 1) * w);
-    if (hi <= lo) break;
-    data_[index(row, channel, i)] += hi - lo;
+    if (hi > lo) data_[index(row, channel, i)] += hi - lo;
   }
 }
 

@@ -12,7 +12,7 @@
 // That is the shape the ROADMAP's 4096-processor engine rewrite needs:
 // utilization-over-time at any scale, never an event log.
 //
-// Three producers feed it:
+// Two producers feed it:
 //   SimSeries   per-simulated-processor CPU / wait / wire / compute /
 //               barrier seconds over simulated time, fed from the same
 //               Transport/Engine hook points as trace::Recorder via a
@@ -20,8 +20,7 @@
 //               like the recorder; never changes timing or numerics —
 //               golden-checked).
 //   WallSeries  thread-safe wall-clock windows: per-worker sweep telemetry
-//               (src/exec/sweep) and the serve daemon's request/latency/
-//               queue-depth series (GET /timeseries).
+//               (src/exec/sweep).
 //
 // Unknown total duration is handled by folding: when a sample lands past
 // the last window, the window width doubles and adjacent window pairs merge
@@ -158,9 +157,9 @@ class SimSeries {
 };
 
 /// Host-side producer: wall-clock windows written concurrently by worker
-/// threads (one mutex — producers are request/task-grained, never hot).
-/// Rows are whatever the caller shards by (sweep: worker contexts; serve:
-/// one row); channels are named at construction.
+/// threads (one mutex — producers are task-grained, never hot).
+/// Rows are whatever the caller shards by (sweep: worker contexts);
+/// channels are named at construction.
 class WallSeries {
  public:
   WallSeries(int rows, std::vector<std::string> channel_names, int window_count = 64,

@@ -37,7 +37,7 @@ driver::Metrics run_traced(const std::string& bench, const std::string& experime
   cfg.procs = procs;
   cfg.config_overrides = info.test_configs;
   cfg.recorder = &recorder;
-  return driver::run_experiment(program, *driver::find_experiment(experiment), cfg);
+  return driver::run_experiment(program, driver::experiment(experiment), cfg);
 }
 
 /// |a - b| within 1e-9 relative (plus an absolute floor for zero totals).

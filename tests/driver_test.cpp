@@ -8,6 +8,7 @@
 #include "src/driver/driver.h"
 #include "src/parser/parser.h"
 #include "src/programs/programs.h"
+#include "src/support/diag.h"
 
 namespace zc::driver {
 namespace {
@@ -36,6 +37,12 @@ TEST(Experiments, Figure9KeyIsComplete) {
 TEST(Experiments, FindByName) {
   EXPECT_TRUE(find_experiment("pl with shmem").has_value());
   EXPECT_FALSE(find_experiment("bogus").has_value());
+}
+
+TEST(Experiments, CheckedLookupThrowsOnUnknownName) {
+  EXPECT_EQ(experiment("pl with shmem").library, ironman::CommLibrary::kSHMEM);
+  EXPECT_THROW(experiment("all"), Error);
+  EXPECT_THROW(experiment("bogus"), Error);
 }
 
 TEST(Compile, ReportsStaticCount) {

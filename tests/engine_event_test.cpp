@@ -8,7 +8,7 @@
 // This is the safety net behind RunConfig::engine defaulting to kEvent:
 // the lockstep core is the executable specification, the event core the
 // optimization, and this suite is the proof obligation between them
-// (DESIGN.md §15 has the argument for why equality is achievable at all).
+// (DESIGN.md §13 has the argument for why equality is achievable at all).
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -133,7 +133,7 @@ void expect_bit_identical(const sim::RunResult& lock, const sim::RunResult& even
         << name << ": " << value << " vs " << event.checksums.at(name);
   }
 
-  // The sweep/serve determinism fingerprint folds all of the above; if it
+  // The sweep determinism fingerprint folds all of the above; if it
   // differs something escaped the field-by-field checks.
   EXPECT_EQ(exec::result_checksum(lock), exec::result_checksum(event));
 }

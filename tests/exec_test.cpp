@@ -1,6 +1,6 @@
 // Unit tests for the sweep execution substrate (src/exec): the
 // work-stealing thread pool's fork/join and determinism contracts, the plan
-// memoization cache (keying, collisions, eviction, metrics counters), and
+// memoization cache (keying, collisions, concurrency, metrics counters), and
 // the thread-local metrics registry redirect + merge the sweep engine's
 // deterministic accounting rests on.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "src/report/passlog.h"
 #include "src/support/diag.h"
 #include "src/support/metrics.h"
-#include "src/zir/printer.h"
 
 namespace zc::exec {
 namespace {
@@ -183,8 +182,7 @@ TEST(PlanCache, MissThenHit) {
   const PlanCacheStats s = cache.stats();
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.hits, 1);
-  EXPECT_EQ(s.entries, 1);
-  EXPECT_GT(s.bytes, 0);
+  EXPECT_EQ(s.lookups(), 2);
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
@@ -197,22 +195,6 @@ TEST(PlanCache, KeyIgnoresSourceOffsetsAndWhitespace) {
   PlanCache cache;
   const auto pa = cache.get_or_plan(a, opts, "t3d");
   const auto pb = cache.get_or_plan(b, opts, "t3d");
-  EXPECT_EQ(pa.get(), pb.get());
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 1);
-}
-
-TEST(PlanCache, TextKeyedLookupSharesEntriesWithProgramKeyed) {
-  // The serve hot path memoizes to_source(program) and passes it to the
-  // text-keyed overload; both spellings must address the same entry.
-  const zir::Program program = parser::parse_program(kProgram);
-  const std::string canonical = zir::to_source(program);
-  const comm::OptOptions opts = comm::OptOptions::for_level(comm::OptLevel::kPL);
-  EXPECT_EQ(plan_key(program, opts, "t3d"), plan_key_for_text(canonical, opts, "t3d"));
-
-  PlanCache cache;
-  const auto pa = cache.get_or_plan(program, opts, "t3d");
-  const auto pb = cache.get_or_plan(program, canonical, opts, "t3d");
   EXPECT_EQ(pa.get(), pb.get());
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 1);
@@ -274,57 +256,6 @@ TEST(PlanCache, PublishesHitMissCountersToCurrentRegistry) {
   EXPECT_EQ(local.counter("exec.plan_cache.hits"), 2);
 }
 
-TEST(PlanCache, EvictsLeastRecentlyUsedUnderByteBudget) {
-  const zir::Program a = parser::parse_program(kProgram);
-  const zir::Program b = parser::parse_program(kOtherProgram);
-  const comm::OptOptions rr = comm::OptOptions::for_level(comm::OptLevel::kRR);
-  const comm::OptOptions cc = comm::OptOptions::for_level(comm::OptLevel::kCC);
-
-  // Budget sized to hold roughly one entry: every new distinct plan evicts
-  // the least-recently-used completed one.
-  PlanCache::Options copts;
-  copts.byte_budget = 1;  // smaller than any entry: at most the newest stays
-  PlanCache cache(copts);
-
-  const auto pa = cache.get_or_plan(a, rr);
-  ASSERT_NE(pa, nullptr);
-  const auto pb = cache.get_or_plan(b, rr);  // evicts a/rr
-  ASSERT_NE(pb, nullptr);
-  {
-    const PlanCacheStats s = cache.stats();
-    EXPECT_EQ(s.evictions, 1);
-    EXPECT_EQ(s.entries, 1);
-  }
-  // The evicted plan is still alive for holders of the shared_ptr.
-  EXPECT_GT(pa->static_count(), 0);
-
-  // Re-requesting the evicted key is a fresh miss (re-planned), and the
-  // interleaving keeps evicting LRU-first.
-  const auto pa2 = cache.get_or_plan(a, rr);
-  EXPECT_NE(pa2.get(), pa.get());
-  const auto pc = cache.get_or_plan(a, cc);
-  ASSERT_NE(pc, nullptr);
-  const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, 4);
-  EXPECT_EQ(s.hits, 0);
-  EXPECT_EQ(s.evictions, 3);
-  EXPECT_EQ(s.entries, 1);
-}
-
-TEST(PlanCache, ZeroBudgetMeansUnlimited) {
-  const zir::Program a = parser::parse_program(kProgram);
-  const zir::Program b = parser::parse_program(kOtherProgram);
-  PlanCache cache;  // byte_budget = 0
-  for (const auto level :
-       {comm::OptLevel::kBaseline, comm::OptLevel::kRR, comm::OptLevel::kCC}) {
-    cache.get_or_plan(a, comm::OptOptions::for_level(level));
-    cache.get_or_plan(b, comm::OptOptions::for_level(level));
-  }
-  const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 6);
-  EXPECT_EQ(s.evictions, 0);
-}
-
 TEST(PlanCache, ConcurrentRequestsPlanEachKeyOnce) {
   const zir::Program a = parser::parse_program(kProgram);
   const zir::Program b = parser::parse_program(kOtherProgram);
@@ -349,71 +280,6 @@ TEST(PlanCache, ConcurrentRequestsPlanEachKeyOnce) {
   std::set<const comm::CommPlan*> distinct;
   for (const auto& p : got) distinct.insert(p.get());
   EXPECT_EQ(distinct.size(), 8u);
-}
-
-TEST(PlanCache, ChurnPastBudgetFromManyThreadsConservesStats) {
-  // Eviction under concurrency: 8 workers churn 12 distinct configurations
-  // through a sharded cache whose budget holds only a couple of plans per
-  // shard, with interleaved hits, misses, and evictions. The stats must
-  // obey the conservation laws exactly — every lookup is a hit or a miss,
-  // every entry is a miss that hasn't been evicted — and plans evicted
-  // while a worker still holds them must stay live.
-  const zir::Program a = parser::parse_program(kProgram);
-  const zir::Program b = parser::parse_program(kOtherProgram);
-  std::vector<comm::OptOptions> opts;
-  for (const auto level : {comm::OptLevel::kBaseline, comm::OptLevel::kRR,
-                           comm::OptLevel::kCC, comm::OptLevel::kPL}) {
-    opts.push_back(comm::OptOptions::for_level(level));
-  }
-  comm::OptOptions maxlat = comm::OptOptions::for_level(comm::OptLevel::kPL);
-  maxlat.heuristic = comm::CombineHeuristic::kMaxLatency;
-  opts.push_back(maxlat);
-  comm::OptOptions hybrid = comm::OptOptions::for_level(comm::OptLevel::kPL);
-  hybrid.heuristic = comm::CombineHeuristic::kHybrid;
-  opts.push_back(hybrid);
-
-  PlanCache::Options copts;
-  copts.byte_budget = 4096;  // a few entries per shard: constant churn
-  copts.shards = 2;
-  PlanCache cache(copts);
-
-  constexpr int kThreads = 8;
-  constexpr int kIters = 120;
-  std::vector<std::vector<std::shared_ptr<const comm::CommPlan>>> pinned(kThreads);
-  std::atomic<int> null_plans{0};
-  ThreadPool pool(kThreads);
-  pool.run(kThreads, [&](std::size_t t) {
-    for (int i = 0; i < kIters; ++i) {
-      const zir::Program& prog = (t + static_cast<std::size_t>(i)) % 2 == 0 ? a : b;
-      const comm::OptOptions& o = opts[(t * 7 + static_cast<std::size_t>(i)) % opts.size()];
-      const auto plan = cache.get_or_plan(prog, o);
-      if (plan == nullptr || plan->static_count() <= 0) {
-        null_plans.fetch_add(1);
-        continue;
-      }
-      // Pin a subset across later evictions; the rest drop immediately so
-      // eviction actually frees them.
-      if (i % 5 == static_cast<int>(t % 5)) pinned[t].push_back(plan);
-    }
-  });
-  EXPECT_EQ(null_plans.load(), 0);
-
-  const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.lookups(), static_cast<long long>(kThreads) * kIters);  // hits+misses==lookups
-  EXPECT_GE(s.misses, 12);   // every distinct key missed at least once
-  EXPECT_GT(s.evictions, 0); // the budget actually churned
-  EXPECT_EQ(s.entries, s.misses - s.evictions);  // inserts minus evictions survive
-  EXPECT_GE(s.entries, 1);
-
-  // Evicted-but-pinned plans are still alive and structurally valid.
-  std::size_t held = 0;
-  for (const auto& plans : pinned) {
-    for (const auto& plan : plans) {
-      EXPECT_GT(plan->static_count(), 0);
-      ++held;
-    }
-  }
-  EXPECT_EQ(held, static_cast<std::size_t>(kThreads) * (kIters / 5));
 }
 
 TEST(Registry, MergeFromAddsCountersAndTakesGauges) {

@@ -1,8 +1,8 @@
-// Concurrency pins for metrics::Registry, written for the tsan tier: the
-// serve subsystem merges per-request scratch registries and observes
-// latency histograms from worker threads while stats / Prometheus scrapes
-// render concurrently — none of that may race, and the totals must come
-// out exact once the writers join.
+// Concurrency pins for metrics::Registry, written for the tsan tier: worker
+// threads merge per-task scratch registries (the sweep engine's pattern) and
+// observe histograms directly while text / JSON expositions render
+// concurrently — none of that may race, and the totals must come out exact
+// once the writers join.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,15 +32,17 @@ TEST(MetricsConcurrency, ScratchMergesAndScrapesRaceCleanly) {
   // snapshot-then-render must never observe a torn histogram.
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::string prom = target.to_prometheus();
-      EXPECT_EQ(prom.find("le=\"nan\""), std::string::npos);
-      (void)target.to_json();
+      const std::string text = target.to_text();
+      EXPECT_EQ(text.find("nan"), std::string::npos);
       (void)target.counter("requests");
-      const Histogram* h = target.find_histogram("latency");
-      if (h != nullptr && h->count > 0) {
-        const double p50 = h->quantile(0.5);
-        EXPECT_GE(p50, h->min);
-        EXPECT_LE(p50, h->max);
+      // Histograms are read through the locked JSON snapshot: the pointer
+      // find_histogram returns is only for single-threaded inspection.
+      const json::Value doc = target.to_json();
+      const json::Value& hists = doc.at("histograms");
+      if (hists.has("latency") && hists.at("latency").at("count").number > 0) {
+        const json::Value& h = hists.at("latency");
+        EXPECT_GE(h.at("p50").number, h.at("min").number);
+        EXPECT_LE(h.at("p50").number, h.at("max").number);
       }
     }
   });
@@ -50,7 +52,7 @@ TEST(MetricsConcurrency, ScratchMergesAndScrapesRaceCleanly) {
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&, w] {
         for (int i = 0; i < kMergesPerWriter; ++i) {
-          // The serve request pattern: publish into a scratch registry
+          // The sweep task pattern: publish into a scratch registry
           // under a ScopedRegistry redirect, then fold it into the shared
           // one (snapshot-then-apply).
           Registry scratch;
@@ -90,12 +92,13 @@ TEST(MetricsConcurrency, ScratchMergesAndScrapesRaceCleanly) {
   ASSERT_NE(direct, nullptr);
   EXPECT_EQ(direct->count, kTotal);
 
-  // The final exposition agrees with the totals, cumulative buckets ending
-  // at +Inf == _count.
-  const std::string prom = target.to_prometheus();
-  EXPECT_NE(prom.find("requests " + std::to_string(kTotal)), std::string::npos);
-  EXPECT_NE(prom.find("latency_bucket{le=\"+Inf\"} " + std::to_string(kTotal)),
+  // The final expositions agree with the totals.
+  const std::string text = target.to_text();
+  EXPECT_NE(text.find("counter requests " + std::to_string(kTotal) + "\n"),
             std::string::npos);
+  const json::Value doc = target.to_json();
+  EXPECT_EQ(doc.at("histograms").at("latency").at("count").number,
+            static_cast<double>(kTotal));
 }
 
 TEST(MetricsConcurrency, QuantilesStayWithinObservedRangeUnderMergeStorm) {

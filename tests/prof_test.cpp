@@ -257,7 +257,7 @@ struct RunSnapshot {
 RunSnapshot run_benchmark(const std::string& name) {
   const programs::BenchmarkInfo& info = programs::benchmark(name);
   const zir::Program program = parser::parse_program(info.source);
-  driver::Experiment e = *driver::find_experiment("pl");
+  driver::Experiment e = driver::experiment("pl");
   sim::RunConfig cfg;
   cfg.procs = 4;
   cfg.config_overrides = info.test_configs;
@@ -306,7 +306,7 @@ TEST(ProfTest, ProfilingDoesNotChangeResults) {
 json::Value profiled_report(prof::Profiler* profiler) {
   const programs::BenchmarkInfo& info = programs::benchmark("swm");
   const zir::Program program = parser::parse_program(info.source);
-  driver::Experiment e = *driver::find_experiment("pl");
+  driver::Experiment e = driver::experiment("pl");
   sim::RunConfig cfg;
   cfg.procs = 4;
   cfg.config_overrides = info.test_configs;

@@ -18,15 +18,12 @@ using namespace zc;
 json::Value generate_report(bool traced) {
   const programs::BenchmarkInfo& info = programs::benchmark("tomcatv");
   const zir::Program program = parser::parse_program(info.source);
-  const auto exp = driver::find_experiment("pl");
-  EXPECT_TRUE(exp.has_value());
-
   trace::Recorder recorder(4);
   sim::RunConfig cfg;
   cfg.procs = 4;
   cfg.config_overrides = info.test_configs;
   if (traced) cfg.recorder = &recorder;
-  return driver::run_report(program, *exp, std::move(cfg));
+  return driver::run_report(program, driver::experiment("pl"), std::move(cfg));
 }
 
 void expect_number(const json::Value& doc, const std::string& key) {

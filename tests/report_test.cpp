@@ -357,7 +357,7 @@ TEST(MetricsTest, OptimizerAndDriverPublish) {
   reg.reset();
 
   const programs::BenchmarkInfo& info = programs::benchmark("tomcatv");
-  driver::run_source(info.source, *driver::find_experiment("pl"), 4, info.test_configs);
+  driver::run_source(info.source, driver::experiment("pl"), 4, info.test_configs);
 
   EXPECT_EQ(reg.counter("driver.experiments"), 1);
   EXPECT_EQ(reg.counter("opt.plans"), 1);

@@ -7,7 +7,6 @@
 #include "src/support/csv.h"
 #include "src/support/diag.h"
 #include "src/support/json.h"
-#include "src/support/log.h"
 #include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/table.h"
@@ -144,7 +143,7 @@ TEST(SeriesChart, RendersAllPoints) {
   EXPECT_NE(s.find("4096"), std::string::npos);
 }
 
-// --- JSON hardening against untrusted input (the serve request path) -----
+// --- JSON hardening against untrusted input -------------------------------
 
 TEST(Json, RoundTripsWellFormedDocument) {
   const json::Value v = json::parse(R"({"a": [1, 2.5, "x\n", true, null], "b": {}})");
@@ -225,149 +224,6 @@ TEST(Json, EmbeddedNulAndControlBytesAreRejectedOrEscaped) {
   EXPECT_EQ(v.string.size(), 3u);
   EXPECT_THROW(json::parse(std::string_view("\0", 1)), Error);
   EXPECT_THROW(json::parse(std::string_view("[1,\0]", 5)), Error);
-}
-
-// --- Prometheus text exposition (the /metrics scrape body) ---------------
-
-TEST(Metrics, PrometheusExpositionRendersCountersGaugesAndHistograms) {
-  metrics::Registry reg;
-  reg.count("serve.requests", 3);
-  reg.gauge("serve.queue_depth", 2.0);
-  const std::vector<double> bounds = {0.01, 0.1, 1.0};
-  reg.observe("serve.request_seconds", 0.005, bounds);
-  reg.observe("serve.request_seconds", 0.05, bounds);
-  reg.observe("serve.request_seconds", 5.0, bounds);  // overflow bucket
-
-  const std::string text = reg.to_prometheus();
-  EXPECT_NE(text.find("# TYPE serve_requests counter\nserve_requests 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE serve_queue_depth gauge\nserve_queue_depth 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE serve_request_seconds histogram\n"),
-            std::string::npos);
-  // Buckets are CUMULATIVE (unlike the registry's per-bucket counts) and
-  // end with the mandatory le="+Inf" series equal to _count.
-  EXPECT_NE(text.find(R"(serve_request_seconds_bucket{le="0.01"} 1)"),
-            std::string::npos);
-  EXPECT_NE(text.find(R"(serve_request_seconds_bucket{le="0.1"} 2)"),
-            std::string::npos);
-  EXPECT_NE(text.find(R"(serve_request_seconds_bucket{le="1"} 2)"),
-            std::string::npos);
-  EXPECT_NE(text.find(R"(serve_request_seconds_bucket{le="+Inf"} 3)"),
-            std::string::npos);
-  EXPECT_NE(text.find("serve_request_seconds_count 3\n"), std::string::npos);
-  EXPECT_NE(text.find("serve_request_seconds_sum "), std::string::npos);
-}
-
-TEST(Metrics, PrometheusNamesAreSanitized) {
-  metrics::Registry reg;
-  reg.count("serve.client.tcp:0.requests");
-  reg.count("1weird name-x");
-  const std::string text = reg.to_prometheus();
-  // '.' and other invalid bytes become '_'; ':' is legal; a leading digit
-  // gets a '_' prefix.
-  EXPECT_NE(text.find("serve_client_tcp:0_requests 1"), std::string::npos);
-  EXPECT_NE(text.find("_1weird_name_x 1"), std::string::npos);
-  // Nothing outside [a-zA-Z0-9_:] survives anywhere in the exposition.
-  for (const char c : text) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':' || c == ' ' ||
-                    c == '\n' || c == '#' || c == '{' || c == '}' || c == '"' ||
-                    c == '=' || c == '+' || c == '.' || c == '-' || c == 'e';
-    EXPECT_TRUE(ok) << "unexpected byte in exposition: " << c;
-  }
-}
-
-// --- Structured logging --------------------------------------------------
-
-/// RAII: points the global logger at a capture buffer (and a chosen
-/// level/format) for one test, restoring the defaults on exit.
-class CapturedLog {
- public:
-  explicit CapturedLog(log::Level level, log::Format format = log::Format::kText) {
-    log::Logger::global().set_level(level);
-    log::Logger::global().set_format(format);
-    log::Logger::global().set_capture(&buffer_);
-  }
-  ~CapturedLog() {
-    log::Logger::global().set_capture(nullptr);
-    log::Logger::global().set_format(log::Format::kText);
-    log::Logger::global().set_level(log::Level::kInfo);
-    log::Logger::global().set_rate_limit(0);
-  }
-  [[nodiscard]] const std::string& text() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-TEST(Log, TextFormatCarriesLevelSubsystemMessageAndFields) {
-  CapturedLog cap(log::Level::kDebug);
-  ZC_LOG_INFO("serve", "request finished", log::field("req", 7),
-              log::field("client", "tcp:0"), log::field("ok", true),
-              log::field("ms", 1.5));
-  const std::string& s = cap.text();
-  EXPECT_NE(s.find("ts="), std::string::npos);
-  EXPECT_NE(s.find(" level=info subsys=serve msg=\"request finished\""),
-            std::string::npos);
-  EXPECT_NE(s.find(" req=7"), std::string::npos);
-  EXPECT_NE(s.find(" client=\"tcp:0\""), std::string::npos)
-      << "string fields are quoted, numbers are bare";
-  EXPECT_NE(s.find(" ok=true"), std::string::npos);
-  EXPECT_NE(s.find(" ms=1.5"), std::string::npos);
-  EXPECT_EQ(s.back(), '\n');
-}
-
-TEST(Log, FilteredLevelsNeverReachTheSink) {
-  CapturedLog cap(log::Level::kWarn);
-  int evaluations = 0;
-  const auto expensive = [&] {
-    ++evaluations;
-    return std::string("x");
-  };
-  ZC_LOG_DEBUG("serve", "hidden", log::field("v", expensive()));
-  ZC_LOG_INFO("serve", "hidden too", log::field("v", expensive()));
-  ZC_LOG_WARN("serve", "visible", log::field("v", expensive()));
-  EXPECT_EQ(evaluations, 1) << "filtered levels must not evaluate fields";
-  EXPECT_EQ(cap.text().find("hidden"), std::string::npos);
-  EXPECT_NE(cap.text().find("visible"), std::string::npos);
-}
-
-TEST(Log, JsonLinesParseAndEscape) {
-  CapturedLog cap(log::Level::kInfo, log::Format::kJson);
-  ZC_LOG_INFO("serve", "with \"quotes\"\nand newline",
-              log::field("path", "a\\b"), log::field("n", 42));
-  const std::string& s = cap.text();
-  ASSERT_EQ(s.back(), '\n');
-  const json::Value v = json::parse(std::string_view(s.data(), s.size() - 1));
-  EXPECT_EQ(v.at("level").string, "info");
-  EXPECT_EQ(v.at("subsys").string, "serve");
-  EXPECT_EQ(v.at("msg").string, "with \"quotes\"\nand newline");
-  EXPECT_EQ(v.at("path").string, "a\\b");
-  EXPECT_EQ(v.at("n").number, 42);
-  EXPECT_FALSE(v.at("ts").string.empty());
-}
-
-TEST(Log, RateLimitDropsCountsAndReports) {
-  CapturedLog cap(log::Level::kInfo);
-  const long long before = log::Logger::global().dropped();
-  log::Logger::global().set_rate_limit(2);
-  for (int i = 0; i < 5; ++i) ZC_LOG_INFO("serve", "spam", log::field("i", i));
-  EXPECT_EQ(log::Logger::global().dropped() - before, 3);
-  // Exactly the first two lines of the window reached the sink.
-  EXPECT_NE(cap.text().find("i=0"), std::string::npos);
-  EXPECT_NE(cap.text().find("i=1"), std::string::npos);
-  EXPECT_EQ(cap.text().find("i=2"), std::string::npos);
-}
-
-TEST(Log, ParseLevelRoundTrips) {
-  log::Level level = log::Level::kInfo;
-  EXPECT_TRUE(log::parse_level("warn", level));
-  EXPECT_EQ(level, log::Level::kWarn);
-  EXPECT_TRUE(log::parse_level("off", level));
-  EXPECT_EQ(level, log::Level::kOff);
-  EXPECT_FALSE(log::parse_level("loud", level));
-  EXPECT_EQ(level, log::Level::kOff) << "failed parses leave the output alone";
 }
 
 }  // namespace

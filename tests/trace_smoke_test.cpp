@@ -38,7 +38,7 @@ TEST(TraceSmoke, SmallTracedRunExportsValidJsonAndCsv) {
   cfg.config_overrides = info.test_configs;
   cfg.recorder = &recorder;
   const driver::Metrics m =
-      driver::run_experiment(program, *driver::find_experiment("pl"), cfg);
+      driver::run_experiment(program, driver::experiment("pl"), cfg);
   ASSERT_TRUE(m.trace_stats.has_value());
   ASSERT_GT(m.run.total_messages, 0);
 

@@ -90,13 +90,13 @@ driver::Metrics run_traced(const std::string& bench, const std::string& experime
   cfg.procs = procs;
   cfg.config_overrides = info.test_configs;
   cfg.recorder = &recorder;
-  return driver::run_experiment(program, *driver::find_experiment(experiment), cfg);
+  return driver::run_experiment(program, driver::experiment(experiment), cfg);
 }
 
 driver::Metrics run_untraced(const std::string& bench, const std::string& experiment,
                              int procs = 16) {
   const programs::BenchmarkInfo& info = programs::benchmark(bench);
-  return driver::run_source(info.source, *driver::find_experiment(experiment), procs,
+  return driver::run_source(info.source, driver::experiment(experiment), procs,
                             info.test_configs);
 }
 

@@ -68,6 +68,17 @@ TEST(Windows, RepeatedFoldingConvergesAndConserves) {
   EXPECT_GE(w.window_count() * w.window_width(), w.duration());
 }
 
+TEST(Windows, SpanStartingOnARoundedWindowEdgeIsKept) {
+  // At width 1e-6, t0 / w rounds down to window 245 while 246 * w rounds to
+  // <= t0, so window 245's share is empty; the span must still land in the
+  // windows after it. A tomcatv baseline run at 4096 windows hits this.
+  Windows w(1, 1, 4096, 1e-6);
+  const double t0 = 0.00024599999999999996;
+  const double t1 = 0.00025279999999999996;
+  w.add_span(0, 0, t0, t1);
+  EXPECT_NEAR(w.channel_total(0), t1 - t0, 1e-15);
+}
+
 TEST(Windows, PointSamplesLandInTheirWindow) {
   Windows w(1, 1, 4, 1.0);
   w.add_at(0, 0, 1.5, 3.0);

@@ -44,7 +44,7 @@ TracedRun traced_run(const std::string& bench, const std::string& exp,
   cfg.recorder = &recorder;
   cfg.timeline = series;
   TracedRun out;
-  out.metrics = driver::run_experiment(program, *driver::find_experiment(exp), cfg);
+  out.metrics = driver::run_experiment(program, driver::experiment(exp), cfg);
   out.stats = trace::compute_stats(recorder);
   return out;
 }
@@ -90,7 +90,7 @@ TEST(TimeSeries, ConservationHoldsAcrossExperimentsAndWindowCounts) {
   // Totals are invariant to window resolution: a single window (a plain
   // total) and a grid far finer than the event density must agree with the
   // default, on a communication-optimized variant as well as the baseline.
-  for (const std::string exp : {"pl", "all"}) {
+  for (const std::string exp : {"pl", "baseline"}) {
     double reference = -1.0;
     for (const int window_count : {1, 64, 4096}) {
       tseries::SimSeries series(kProcs, window_count);
@@ -110,7 +110,7 @@ TEST(TimeSeries, ConservationHoldsAcrossExperimentsAndWindowCounts) {
 TEST(TimeSeries, AttachingTheSinkNeverPerturbsTheSimulation) {
   const programs::BenchmarkInfo& info = programs::benchmark("swm");
   const zir::Program program = parser::parse_program(info.source);
-  const driver::Experiment exp = *driver::find_experiment("pl");
+  const driver::Experiment exp = driver::experiment("pl");
 
   sim::RunConfig plain;
   plain.procs = kProcs;
@@ -131,7 +131,7 @@ TEST(TimeSeries, AttachingTheSinkNeverPerturbsTheSimulation) {
 TEST(TimeSeries, RunReportGainsTheTimelineBlockAndStaysDiffable) {
   const programs::BenchmarkInfo& info = programs::benchmark("tomcatv");
   const zir::Program program = parser::parse_program(info.source);
-  const driver::Experiment exp = *driver::find_experiment("pl");
+  const driver::Experiment exp = driver::experiment("pl");
 
   sim::RunConfig bare;
   bare.procs = kProcs;

@@ -1,6 +1,6 @@
-# Bench harnesses: one binary per paper table/figure plus ablations and a
-# google-benchmark microbenchmark suite. Included from the top-level
-# CMakeLists so the binaries land alone in ${CMAKE_BINARY_DIR}/bench.
+# Bench harnesses: one binary per paper table/figure plus ablations, the
+# sweep-scaling harness and the observer-overhead guard. Included from the
+# top-level CMakeLists so the binaries land alone in ${CMAKE_BINARY_DIR}/bench.
 
 add_library(zc_bench STATIC
   bench/common.cpp
@@ -41,83 +41,28 @@ add_test(NAME bench_sweep_scaling_smoke
 set_tests_properties(bench_sweep_scaling_smoke PROPERTIES
   LABELS "smoke;tsan"
   PASS_REGULAR_EXPRESSION "determinism: all schedules bit-identical")
-zc_bench_binary(bench_tseries_overhead)
-target_link_libraries(bench_tseries_overhead PRIVATE zc_tseries)
 
-# Smoke-run the timeline-sink guard bench: asserts attaching the windowed
-# telemetry sink leaves engine results bit-identical and costs <= 5% on the
-# engine hot path. The regex spans both verdict lines (CMake "." matches
+zc_bench_binary(bench_observer_overhead)
+target_link_libraries(bench_observer_overhead PRIVATE zc_tseries zc_prof)
+
+# Smoke-run the observer guard bench, one ctest entry per observer: each
+# asserts that attaching its observer (the timeline sink, the host profiler)
+# leaves engine results bit-identical and costs <= 5% on the engine hot
+# path. Each regex spans its arm's two verdict lines (CMake "." matches
 # newlines), so both gates must pass. Absolute us/run is hardware-dependent
-# and never gated.
-add_test(NAME bench_tseries_overhead_smoke
-  COMMAND bench_tseries_overhead --procs=4
-          --bench-json=${CMAKE_BINARY_DIR}/bench/BENCH_tseries_overhead_smoke.json)
-# RUN_SERIAL: the gate is a timing ratio; sharing the core with other ctest
-# jobs skews the compared arms unpredictably.
-set_tests_properties(bench_tseries_overhead_smoke PROPERTIES
-  LABELS "smoke;tsan"
-  RUN_SERIAL TRUE
-  PASS_REGULAR_EXPRESSION
-    "determinism: results bit-identical with the sink attached.*acceptance: timeline sink overhead within 5%")
-
-zc_bench_binary(bench_engine_scaling)
-
-# Smoke-run the engine-scaling harness on a tiny mesh: asserts the
-# event-driven core and the lockstep reference produce bit-identical result
-# checksums on every (benchmark, procs) cell. The speedup numbers are
-# hardware-dependent and never gated here — the committed
-# BENCH_engine_scaling.json carries the full 64..4096 ladder.
-add_test(NAME bench_engine_scaling_smoke
-  COMMAND bench_engine_scaling --procs=4
-          --bench-json=${CMAKE_BINARY_DIR}/bench/BENCH_engine_scaling_smoke.json)
-set_tests_properties(bench_engine_scaling_smoke PROPERTIES
-  LABELS "smoke;tsan"
-  PASS_REGULAR_EXPRESSION
-    "determinism: event and lockstep checksums bit-identical on every cell")
+# and never gated. RUN_SERIAL: the gate is a timing ratio; sharing the core
+# with other ctest jobs skews the compared arms unpredictably.
+function(zc_observer_smoke name observer)
+  add_test(NAME ${name} COMMAND bench_observer_overhead --procs=4)
+  set_tests_properties(${name} PROPERTIES
+    LABELS "smoke;tsan"
+    RUN_SERIAL TRUE
+    PASS_REGULAR_EXPRESSION
+      "bit-identical with the ${observer} attached.*${observer} overhead within 5%")
+endfunction()
+zc_observer_smoke(bench_tseries_overhead_smoke "timeline sink")
+zc_observer_smoke(bench_prof_overhead_smoke "host profiler")
 
 zc_bench_binary(bench_abl_hybrid)
 zc_bench_binary(bench_abl_interblock)
 zc_bench_binary(bench_paragon_suite)
-
-add_executable(bench_micro_passes bench/bench_micro_passes.cpp)
-target_link_libraries(bench_micro_passes PRIVATE zc_bench zc_analysis benchmark::benchmark)
-set_target_properties(bench_micro_passes PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# Smoke-run the phase-split section (micros skipped via a non-matching
-# filter, tiny mesh): asserts the two engine cores agree bit-identically on
-# the phase-split workload. The sim_phase_speedup value is
-# hardware-dependent and never gated here — the committed
-# BENCH_micro_passes.json carries the 4096-processor evidence and
-# `zcomm_bench check` trend-gates it.
-add_test(NAME bench_micro_passes_smoke
-  COMMAND bench_micro_passes --benchmark_filter=ThisMatchesNothing --procs=4
-          --bench-json=${CMAKE_BINARY_DIR}/bench/BENCH_micro_passes_smoke.json)
-set_tests_properties(bench_micro_passes_smoke PROPERTIES
-  LABELS "smoke;tsan"
-  PASS_REGULAR_EXPRESSION "determinism: phase-split engine checksums bit-identical")
-
-add_executable(bench_trace_overhead bench/bench_trace_overhead.cpp)
-target_link_libraries(bench_trace_overhead PRIVATE zc_bench benchmark::benchmark)
-set_target_properties(bench_trace_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-add_executable(bench_blame_overhead bench/bench_blame_overhead.cpp)
-target_link_libraries(bench_blame_overhead PRIVATE zc_bench zc_analysis benchmark::benchmark)
-set_target_properties(bench_blame_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# Smoke-run the attribution guard bench in ctest (tiny min_time: this checks
-# it runs and the analyses agree with themselves, not the timings).
-add_test(NAME bench_blame_overhead_smoke
-  COMMAND bench_blame_overhead --benchmark_min_time=0.01)
-
-add_executable(bench_prof_overhead bench/bench_prof_overhead.cpp)
-target_link_libraries(bench_prof_overhead PRIVATE zc_bench zc_prof benchmark::benchmark)
-set_target_properties(bench_prof_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# Same deal for the host-profiler guard bench: asserts the binary runs and
-# the span machinery survives a real pipeline under benchmark iteration.
-add_test(NAME bench_prof_overhead_smoke
-  COMMAND bench_prof_overhead --benchmark_min_time=0.01)

@@ -138,8 +138,6 @@ Options parse_options(int argc, char** argv) {
       }
     } else if (str::starts_with(arg, "--git-sha=")) {
       o.git_sha = arg.substr(10);
-    } else if (arg == "--benchmark_format" || str::starts_with(arg, "--benchmark")) {
-      // Ignore google-benchmark flags when shared runners see them.
     } else {
       std::cerr << "usage: " << argv[0]
                 << " [--paper] [--procs=N] [--jobs=N] [--csv=PATH]"

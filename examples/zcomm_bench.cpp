@@ -1,13 +1,11 @@
 // zcomm_bench: the perf archive's command line — record bench samples and
 // run reports into an append-only JSON-lines history, query trends over it,
-// gate fresh samples against like-for-like baselines, and render the whole
-// archive as one self-contained HTML dashboard.
+// and gate fresh samples against like-for-like baselines.
 //
 //   zcomm_bench record --archive=perf.jsonl BENCH_sweep.json rr.json
 //   zcomm_bench record --archive=perf.jsonl --run "bench_sweep_scaling --jobs=4"
 //   zcomm_bench trend  --archive=perf.jsonl --bench=sweep --metric=median_ns
 //   zcomm_bench check  --archive=perf.jsonl fresh.json
-//   zcomm_bench dashboard --archive=perf.jsonl --out=perf.html
 //
 // `record` ingests anything the repo emits: enveloped --bench-json captures
 // keep their fingerprints and timestamps; bare payloads (run reports, the
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "src/archive/archive.h"
-#include "src/archive/dashboard.h"
 #include "src/archive/envelope.h"
 #include "src/archive/trend.h"
 #include "src/support/diag.h"
@@ -50,7 +47,6 @@ using namespace zc;
       "  record     append samples to the archive\n"
       "  trend      per-(bench, metric, host-class) history table\n"
       "  check      gate a fresh sample against its archive baseline\n"
-      "  dashboard  render the archive as one self-contained HTML file\n"
       "\n"
       "common options:\n"
       "  --archive=<path>      the JSON-lines archive file (required)\n"
@@ -78,9 +74,6 @@ using namespace zc;
       "                        the fresh sample's lower-is-better metrics\n"
       "                        (divide higher-is-better) before gating\n"
       "\n"
-      "dashboard:\n"
-      "  zcomm_bench dashboard --archive=A --out=<file.html> [--title=<t>]\n"
-      "\n"
       "exit status: 0 ok, 1 regression, 2 usage or I/O error,\n"
       "             3 host-class refusal, 4 no baseline (check only)\n";
   std::exit(code);
@@ -94,8 +87,6 @@ struct Args {
   std::string host_class;
   std::string run_cmd;
   std::string git_sha;
-  std::string out;
-  std::string title;
   long long now_unix = 0;
   double band_sigmas = 3.0;
   double rel_floor = 0.10;
@@ -121,8 +112,7 @@ Args parse_args(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage(0);
     if (take(arg, "--archive", &a.archive) || take(arg, "--bench", &a.bench) ||
         take(arg, "--metric", &a.metric) || take(arg, "--host-class", &a.host_class) ||
-        take(arg, "--run", &a.run_cmd) || take(arg, "--git-sha", &a.git_sha) ||
-        take(arg, "--out", &a.out) || take(arg, "--title", &a.title)) {
+        take(arg, "--run", &a.run_cmd) || take(arg, "--git-sha", &a.git_sha)) {
       continue;
     }
     if (take(arg, "--now", &s)) {
@@ -318,27 +308,6 @@ int cmd_check(const Args& a) {
   return r.exit_code();
 }
 
-int cmd_dashboard(const Args& a) {
-  if (a.out.empty()) {
-    std::cerr << "zcomm_bench dashboard: --out=<file.html> is required\n";
-    return 2;
-  }
-  int skipped = 0;
-  const std::vector<archive::Envelope> records =
-      archive::Archive(a.archive).read_all(&skipped);
-  if (skipped > 0) {
-    std::cerr << "zcomm_bench dashboard: skipped " << skipped
-              << " unparseable line(s)\n";
-  }
-  archive::DashboardOptions opts;
-  if (!a.title.empty()) opts.title = a.title;
-  opts.band_sigmas = a.band_sigmas;
-  opts.rel_floor = a.rel_floor;
-  io::write_text_file(a.out, archive::render_dashboard(records, opts));
-  std::cout << "wrote " << a.out << " (" << records.size() << " record(s))\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -347,7 +316,6 @@ int main(int argc, char** argv) {
     if (a.command == "record") return cmd_record(a);
     if (a.command == "trend") return cmd_trend(a);
     if (a.command == "check") return cmd_check(a);
-    if (a.command == "dashboard") return cmd_dashboard(a);
   } catch (const zc::Error& e) {
     std::cerr << "zcomm_bench: " << e.what() << "\n";
     return 2;

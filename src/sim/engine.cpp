@@ -260,7 +260,8 @@ void Engine::exec_body(const std::vector<zir::StmtId>& body) {
 
 void Engine::exec_block(const comm::BlockPlan& block) {
   // Block-level is the finest span here on purpose: a per-statement span
-  // pushed bench_prof_overhead's attached cost past the 5% budget.
+  // pushed the profiler's attached cost past the 5% budget that
+  // bench_observer_overhead gates.
   ZC_PROF_SPAN("sim/block");
   const int n = static_cast<int>(block.stmts.size());
   for (int pos = 0; pos <= n; ++pos) {

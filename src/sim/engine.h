@@ -202,7 +202,7 @@ class Engine {
   // fully rewritten before use). GroupExec objects — message records with
   // their parts/payload vectors — cycle through a free list so steady-state
   // communication executes with no per-event allocation once capacities
-  // have grown to the program's working set (gated by bench_micro_passes).
+  // have grown to the program's working set (timed by e2ebench's sim rows).
   std::vector<std::unique_ptr<GroupExec>> exec_pool_;
   std::vector<char> participated_;        // scratch: per-proc flags
   std::vector<double> eval_buf_;          // scratch: exec_array_assign RHS

@@ -5,7 +5,8 @@
 // `trace::Recorder*` that is nullptr unless the caller attached one, and
 // every hook site is guarded by that pointer — a run without a recorder
 // performs no event allocation and no aggregate arithmetic (the
-// zero-overhead-when-off contract, checked by bench_trace_overhead).
+// zero-overhead-when-off contract; e2ebench's attribution workload reports
+// what attaching one costs).
 //
 // The detailed Event / MessageRecord buffers are bounded (RecorderOptions);
 // once a cap is hit further records are counted in dropped_events() /

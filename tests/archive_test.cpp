@@ -1,8 +1,7 @@
 // The perf archive (src/archive): envelope round trips, legacy ingestion
 // of pre-envelope samples (including every committed BENCH_*.json), metric
 // extraction and direction inference, MAD noise bands, the like-for-like
-// regression gate with its host-class refusal, the JSON-lines store, and
-// the self-contained dashboard.
+// regression gate with its host-class refusal, and the JSON-lines store.
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -10,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "src/archive/archive.h"
-#include "src/archive/dashboard.h"
 #include "src/archive/envelope.h"
 #include "src/archive/trend.h"
 #include "src/support/fingerprint.h"
@@ -370,41 +368,6 @@ TEST(Store, CommittedBenchFilesAllIngest) {
   EXPECT_GE(seen, 3) << "the repo ships at least three BENCH_*.json fixtures";
   EXPECT_GE(legacy, 1) << "a pre-envelope fixture must stay committed (back-compat)";
   EXPECT_GE(enveloped, 1) << "the engine-scaling era ships full envelopes";
-}
-
-// ---------------------------------------------------------------- dashboard
-
-TEST(Dashboard, SelfContainedHtmlWithSparklines) {
-  std::vector<Envelope> records;
-  for (long long t = 1; t <= 5; ++t) {
-    records.push_back(sample("t1", 100.0 + static_cast<double>(t), t, "box-a"));
-  }
-  const std::string html = archive::render_dashboard(records);
-  EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
-  EXPECT_NE(html.find("<svg"), std::string::npos) << "inline SVG sparkline";
-  EXPECT_NE(html.find("zcomm perf dashboard"), std::string::npos);
-  EXPECT_NE(html.find("box-a"), std::string::npos);
-  // Self-contained: no external fetches of any kind.
-  EXPECT_EQ(html.find("src=\"http"), std::string::npos);
-  EXPECT_EQ(html.find("href=\"http"), std::string::npos);
-  EXPECT_EQ(html.find("@import"), std::string::npos);
-  // Embedded machine-readable copy of the latest record.
-  EXPECT_NE(html.find("application/json"), std::string::npos);
-}
-
-TEST(Dashboard, EmptyArchiveStillRenders) {
-  const std::string html = archive::render_dashboard({});
-  EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
-  EXPECT_NE(html.find("0 record"), std::string::npos);
-}
-
-TEST(Dashboard, ScriptEmbedsEscapeClosingTags) {
-  Value doc = bench_payload("t1", 1.0);
-  doc["note"] = Value::make_str("</script><b>evil</b>");
-  Envelope e = archive::wrap(doc, 1, "");
-  const std::string html = archive::render_dashboard({e});
-  EXPECT_EQ(html.find("</script><b>evil</b>"), std::string::npos)
-      << "payload text must not terminate the embed block";
 }
 
 }  // namespace

@@ -12,11 +12,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/common.h"
 #include "src/comm/optimizer.h"
 #include "src/exec/sweep.h"
 #include "src/machine/model.h"
@@ -224,6 +227,91 @@ TEST(EngineEvent, BitIdenticalOnRaggedMeshes) {
     const sim::RunResult event =
         run_once(program, plan, lc, sim::EngineKind::kEvent, procs, info.test_configs);
     expect_bit_identical(lock, event, "simple / pl / procs=" + std::to_string(procs));
+  }
+}
+
+// A scheduling-bound program: scalar-heavy loop bodies and single-cell
+// "control point" regions, each active on exactly one processor, around one
+// boundary exchange per iteration. The event core serves those statements
+// from its deferred-bump log and cached active-processor lists; the
+// lockstep core walks every processor for each of them.
+constexpr std::string_view kSchedSource = R"zpl(
+program sched;
+
+config n     : integer = 32;
+config iters : integer = 64;
+config probe : integer = 8;
+
+region R = [0..n+1, 0..n+1];
+region I = [1..n, 1..n];
+
+direction east = [0, 1], west = [0, -1], north = [-1, 0], south = [1, 0];
+
+var A, B : [R] double;
+var w, damp, relax, t, bias, gain : double;
+
+procedure main() {
+  [R] A := 0.0;
+  [R] B := 0.0;
+  [0..n+1, 0] A := 1.0;
+  [0, 0..n+1] A := 1.0;
+  w := 0.25;
+  damp := 1.0;
+  relax := 1.9;
+  bias := 0.0;
+  for it in 1..iters {
+    damp := damp * 0.999;
+    relax := relax * 0.9995;
+    t := damp * relax;
+    gain := t * (2.0 - t);
+    bias := bias + 0.001 * gain;
+    gain := gain * (1.0 - 0.0001 * bias);
+    t := t + gain * 0.5;
+    relax := relax + 0.0001 * (2.0 - relax);
+    w := 0.25 * damp + 0.0 * bias + 0.0 * t;
+    for k in 1..probe {
+      [0, 0] A := A + 0.0 * w;
+      [0, n+1] A := A + 0.0 * t;
+      [n+1, 0] A := A + 0.0 * gain;
+      [n+1, n+1] A := A + 0.0 * bias;
+    }
+    [I] B := w * (A@east + A@west + A@north + A@south);
+    [I] A := B;
+  }
+}
+)zpl";
+
+TEST(EngineEvent, BitIdenticalOnSchedulingBoundProgram) {
+  const zir::Program program = parser::parse_program(kSchedSource);
+  const comm::CommPlan plan =
+      comm::plan_communication(program, comm::OptOptions::for_level(comm::OptLevel::kPL));
+  const std::map<std::string, long long> configs = {{"n", 32}, {"iters", 64}, {"probe", 32}};
+  const LibraryCase lc = library_cases()[0];
+  for (const int procs : {4, 16}) {
+    const sim::RunResult lock =
+        run_once(program, plan, lc, sim::EngineKind::kLockstep, procs, configs);
+    const sim::RunResult event =
+        run_once(program, plan, lc, sim::EngineKind::kEvent, procs, configs);
+    expect_bit_identical(lock, event, "sched / pl / procs=" + std::to_string(procs));
+  }
+}
+
+// The four table programs at the bench harnesses' problem sizes
+// (bench::scale_for, larger than test_configs) on a 4-processor mesh: the
+// event core must match lockstep there too, not only at the test sizes.
+// (bench_engine_scaling_smoke in tests/CMakeLists.txt runs exactly this
+// case as the smoke-tier ctest.)
+TEST(EngineEvent, BitIdenticalAtBenchScale) {
+  for (const std::string& bench : bench_names()) {
+    const programs::BenchmarkInfo& info = programs::benchmark(bench);
+    const zir::Program program = parser::parse_program(info.source);
+    const comm::CommPlan plan =
+        comm::plan_communication(program, comm::OptOptions::for_level(comm::OptLevel::kPL));
+    const std::map<std::string, long long> configs = bench::scale_for(info, bench::Options{});
+    const LibraryCase lc = library_cases()[0];
+    const sim::RunResult lock = run_once(program, plan, lc, sim::EngineKind::kLockstep, 4, configs);
+    const sim::RunResult event = run_once(program, plan, lc, sim::EngineKind::kEvent, 4, configs);
+    expect_bit_identical(lock, event, bench + " / pl / bench scale / procs=4");
   }
 }
 

@@ -62,6 +62,11 @@ function(zc_observer_smoke name observer)
 endfunction()
 zc_observer_smoke(bench_tseries_overhead_smoke "timeline sink")
 zc_observer_smoke(bench_prof_overhead_smoke "host profiler")
+# --procs=N is the bench's only flag: any other (here --bench-json) fails fast.
+add_test(NAME bench_observer_overhead_rejects_bench_json
+         COMMAND bench_observer_overhead --bench-json=x)
+set_tests_properties(bench_observer_overhead_rejects_bench_json PROPERTIES
+  LABELS smoke WILL_FAIL TRUE)
 
 zc_bench_binary(bench_abl_hybrid)
 zc_bench_binary(bench_abl_interblock)

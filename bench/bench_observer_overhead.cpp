@@ -20,21 +20,25 @@
 //
 // The output is the verdict lines only: absolute us/run moves from one
 // process to the next on a shared host, so it is printed, never archived.
+// The one flag is --procs=N; the shared bench flags (--bench-json,
+// --archive, ...) are refused, since this bench writes no BENCH JSON.
 // The trace recorder and the attribution analyses are timed by e2ebench's
 // attribution workload (bench.trace_overhead_frac, analysis.*_s).
 #include <time.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench/common.h"
 #include "src/comm/optimizer.h"
 #include "src/exec/sweep.h"
 #include "src/parser/parser.h"
 #include "src/prof/prof.h"
+#include "src/programs/programs.h"
 #include "src/sim/engine.h"
+#include "src/support/str.h"
 #include "src/tseries/tseries.h"
 
 namespace {
@@ -161,17 +165,24 @@ bool gate(const zir::Program& program, const comm::CommPlan& plan, const sim::Ru
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options options = bench::parse_options(argc, argv);
+  int procs = 64;
+  for (int i = 1; i < argc; ++i) {
+    procs = str::starts_with(argv[i], "--procs=") ? std::atoi(argv[i] + 8) : 0;
+    if (procs < 1) {
+      std::cerr << "usage: " << argv[0] << " [--procs=N]\n";
+      return 2;
+    }
+  }
 
   const zir::Program program =
       parser::parse_program(programs::kernel_source("jacobi"));
   const comm::CommPlan plan = comm::plan_communication(
       program, comm::OptOptions::for_level(comm::OptLevel::kPL));
   sim::RunConfig base;
-  base.procs = options.procs;
+  base.procs = procs;
   base.config_overrides = {{"n", 64}, {"iters", 4}};
 
-  std::cout << "jacobi/pl, procs=" << options.procs << ", timed in thread CPU time\n\n";
+  std::cout << "jacobi/pl, procs=" << procs << ", timed in thread CPU time\n\n";
   // Both arms always run, so one invocation reports every verdict.
   const bool timeline_ok = gate<TimelineSink>(program, plan, base);
   std::cout << "\n";

@@ -7,7 +7,6 @@
 #include "src/support/check.h"
 #include "src/support/diag.h"
 #include "src/support/metrics.h"
-#include "src/tseries/tseries.h"
 
 namespace zc::sim {
 
@@ -76,10 +75,11 @@ Engine::Engine(const zir::Program& program, const comm::CommPlan& plan, RunConfi
       env_(make_env(program, cfg_.config_overrides)),
       dist_(program, env_, mesh_),
       transport_(cfg_.machine, cfg_.library),
-      evaluator_(program) {
-  if (cfg_.recorder != nullptr) {
-    ZC_ASSERT(cfg_.recorder->procs() >= mesh_.procs());
-    transport_.set_recorder(cfg_.recorder);
+      evaluator_(program),
+      obs_{cfg_.recorder, cfg_.timeline} {
+  transport_.set_observers(obs_);
+  if (obs_.recorder != nullptr) {
+    ZC_ASSERT(obs_.recorder->procs() >= mesh_.procs());
     // Register human-readable labels for every group's transfer id up front
     // so exporters / analysis can name spans without the plan in hand.
     for (const comm::BlockPlan& block : plan_.blocks) {
@@ -91,14 +91,11 @@ Engine::Engine(const zir::Program& program, const comm::CommPlan& plan, RunConfi
         }
         label += "@";
         label += p_.direction(group.direction).name;
-        cfg_.recorder->set_transfer_label(group.transfer_id, std::move(label));
+        obs_.recorder->set_transfer_label(group.transfer_id, std::move(label));
       }
     }
   }
-  if (cfg_.timeline != nullptr) {
-    ZC_ASSERT(cfg_.timeline->procs() >= mesh_.procs());
-    transport_.set_timeline(cfg_.timeline);
-  }
+  ZC_ASSERT(obs_.timeline == nullptr || obs_.timeline->procs() >= mesh_.procs());
   ZC_PROF_SPAN("sim/alloc");
   const int procs = mesh_.procs();
   clock_.assign(procs, 0.0);
@@ -166,20 +163,7 @@ double Engine::stmt_cost(const zir::Stmt& stmt, long long elems) const {
 
 void Engine::allreduce_clocks(double extra_per_stage) {
   const int stages = machine::barrier_stages(mesh_.procs());
-  double t = 0.0;
-  for (double c : clock_) t = std::max(t, c);
-  t += stages * (extra_per_stage + cfg_.machine.wire_latency);
-  if (cfg_.recorder != nullptr) {
-    for (std::size_t p = 0; p < clock_.size(); ++p) {
-      cfg_.recorder->record_barrier(static_cast<int>(p), clock_[p], t);
-    }
-  }
-  if (cfg_.timeline != nullptr) {
-    for (std::size_t p = 0; p < clock_.size(); ++p) {
-      cfg_.timeline->add_barrier(static_cast<int>(p), clock_[p], t);
-    }
-  }
-  std::fill(clock_.begin(), clock_.end(), t);
+  synchronize(clock_, stages * (extra_per_stage + cfg_.machine.wire_latency), obs_);
 }
 
 RunResult Engine::run() {
@@ -492,10 +476,7 @@ void Engine::exec_array_assign(const zir::Stmt& stmt) {
     lhs.write_box(local, buf.data());
     const double t0 = clock_[proc];
     clock_[proc] += stmt_cost(stmt, local.count());
-    if (cfg_.recorder != nullptr) {
-      cfg_.recorder->record_compute(proc, local.count(), t0, clock_[proc]);
-    }
-    if (cfg_.timeline != nullptr) cfg_.timeline->add_compute(proc, t0, clock_[proc]);
+    obs_.compute(proc, local, t0, clock_[proc]);
   }
 }
 
@@ -534,10 +515,7 @@ void Engine::exec_scalar_assign(const zir::Stmt& stmt) {
     if (!local.empty()) {
       const double t0 = clock_[proc];
       clock_[proc] += stmt_cost(stmt, local.count());
-      if (cfg_.recorder != nullptr) {
-        cfg_.recorder->record_compute(proc, local.count(), t0, clock_[proc]);
-      }
-      if (cfg_.timeline != nullptr) cfg_.timeline->add_compute(proc, t0, clock_[proc]);
+      obs_.compute(proc, local, t0, clock_[proc]);
     }
   }
 

@@ -40,7 +40,6 @@
 #include "src/runtime/eval.h"
 #include "src/runtime/layout.h"
 #include "src/sim/transport.h"
-#include "src/trace/recorder.h"
 #include "src/zir/program.h"
 
 namespace zc::sim {
@@ -66,18 +65,14 @@ struct RunConfig {
   EngineKind engine = EngineKind::kEvent;
   /// Override config constants by name (e.g. problem size / iterations).
   std::map<std::string, long long> config_overrides;
-  /// Optional trace recorder (see src/trace). nullptr — the default — means
-  /// tracing is off and the run does no event recording at all; the
-  /// recorder, when given, must cover at least `procs` processors. Tracing
-  /// never changes timing or numerics (golden-checked).
+  /// Optional observers, carried by the engine as one sim::Observers
+  /// (src/sim/observers.h): nullptr — the default — costs one pointer test
+  /// per hook, and neither changes timing or numerics (golden-checked).
+  /// The trace recorder (src/trace) must cover at least `procs` processors.
   trace::Recorder* recorder = nullptr;
-  /// Optional windowed time-series sink (see src/tseries). nullptr — the
-  /// default — means no per-event accumulation at all, the same
-  /// zero-overhead-off contract as the recorder. When given, it must cover
-  /// at least `procs` rows; memory stays O(procs x windows) no matter how
-  /// many events the run produces, and the windowed sums reconcile with
-  /// trace::Stats / RunResult exactly. Never changes timing or numerics
-  /// (golden-checked, like tracing).
+  /// The windowed time series (src/tseries) must cover at least `procs`
+  /// rows; its memory is O(procs x windows) however many events the run
+  /// produces, and its sums reconcile with trace::Stats / RunResult exactly.
   tseries::SimSeries* timeline = nullptr;
 };
 
@@ -187,6 +182,8 @@ class Engine {
   rt::BlockDist dist_;
   Transport transport_;
   rt::Evaluator evaluator_;
+  /// cfg_.recorder / cfg_.timeline, resolved once; every hook goes through it.
+  const Observers obs_;
 
   std::vector<double> clock_;                        // per proc
   std::vector<std::vector<rt::LocalArray>> arrays_;  // [proc][array]

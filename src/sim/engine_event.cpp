@@ -26,7 +26,6 @@
 #include "src/sim/engine.h"
 #include "src/support/check.h"
 #include "src/support/diag.h"
-#include "src/tseries/tseries.h"
 
 namespace zc::sim {
 
@@ -120,10 +119,7 @@ void Engine::ev_exec_assign(CompiledAssign& ca) {
     ev_touch(proc);
     const double t0 = clock_[proc];
     clock_[proc] += cost;
-    if (cfg_.recorder != nullptr) {
-      cfg_.recorder->record_compute(proc, local.count(), t0, clock_[proc]);
-    }
-    if (cfg_.timeline != nullptr) cfg_.timeline->add_compute(proc, t0, clock_[proc]);
+    obs_.compute(proc, local, t0, clock_[proc]);
   };
 
   if (ca.region_static) {
@@ -191,10 +187,7 @@ void Engine::ev_exec_reduce(CompiledReduce& cr) {
     const double t0 = clock_[proc];
     clock_[proc] += cfg_.machine.stmt_overhead +
                     static_cast<double>(local.count()) * cr.per_elem_cost;
-    if (cfg_.recorder != nullptr) {
-      cfg_.recorder->record_compute(proc, local.count(), t0, clock_[proc]);
-    }
-    if (cfg_.timeline != nullptr) cfg_.timeline->add_compute(proc, t0, clock_[proc]);
+    obs_.compute(proc, local, t0, clock_[proc]);
   }
 
   ev_materialize_all();

@@ -26,7 +26,7 @@ PingResult run_ping(const machine::MachineModel& machine, ironman::CommLibrary l
   for (const long long doubles : sizes) {
     const long long bytes = doubles * static_cast<long long>(sizeof(double));
     Transport tx(machine, library);
-    tx.set_recorder(recorder);
+    tx.set_observers({recorder, nullptr});
     // A dedicated two-node partition (paper §3.1). clocks[0] sends to
     // clocks[1] on channel 0.
     std::vector<double> clocks(2, 0.0);

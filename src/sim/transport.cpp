@@ -1,10 +1,8 @@
 #include "src/sim/transport.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/support/check.h"
-#include "src/tseries/tseries.h"
 
 namespace zc::sim {
 
@@ -25,15 +23,6 @@ Transport::Channel& Transport::channel(int64_t chan, int src, int dst) {
 
 Transport::ChannelHandle Transport::channel_handle(int64_t chan, int src, int dst) {
   return ChannelHandle(&channel(chan, src, dst));
-}
-
-void Transport::trace_send(Channel& ch, int64_t chan, int src, int dst, int64_t bytes,
-                           double t_posted, double t_on_wire, double t_arrived) {
-  const int64_t id = recorder_ != nullptr
-                         ? recorder_->record_message(chan, transfer_, src, dst, bytes,
-                                                     t_posted, t_on_wire, t_arrived)
-                         : -1;
-  ch.wire_records.push_back({id, transfer_, t_on_wire, t_arrived});
 }
 
 double Transport::wire_time(int64_t bytes) const {
@@ -68,11 +57,7 @@ void Transport::dr(ChannelHandle h, int64_t chan, int src, int dst, int64_t byte
     default:
       ZC_ASSERT(false);
   }
-  if (recorder_ != nullptr) {
-    recorder_->record_call(dst, IronmanCall::kDR, prim, chan, transfer_, src, dst, bytes,
-                           begin, begin, t_dst);
-  }
-  if (timeline_ != nullptr) timeline_->add_call(dst, begin, begin, t_dst);
+  obs_.call(dst, IronmanCall::kDR, prim, chan, transfer_, src, dst, bytes, begin, begin, t_dst);
 }
 
 void Transport::sr(int64_t chan, int src, int dst, int64_t bytes, double& t_src) {
@@ -127,12 +112,12 @@ void Transport::sr(ChannelHandle h, int64_t chan, int src, int dst, int64_t byte
     default:
       ZC_ASSERT(false);
   }
-  if (recorder_ != nullptr) {
-    recorder_->record_call(src, IronmanCall::kSR, prim, chan, transfer_, src, dst, bytes,
-                           begin, unblocked, t_src);
+  obs_.call(src, IronmanCall::kSR, prim, chan, transfer_, src, dst, bytes, begin, unblocked,
+            t_src);
+  if (obs_.any()) {
+    const int64_t id = obs_.send(chan, transfer_, src, dst, bytes, begin, on_wire, arrival);
+    ch.wire_records.push_back({id, transfer_, on_wire, arrival});
   }
-  if (timeline_ != nullptr) timeline_->add_call(src, begin, unblocked, t_src);
-  if (observed()) trace_send(ch, chan, src, dst, bytes, begin, on_wire, arrival);
 }
 
 void Transport::dn(int64_t chan, int src, int dst, int64_t bytes, double& t_dst) {
@@ -163,28 +148,17 @@ void Transport::dn(ChannelHandle h, int64_t chan, int src, int dst, int64_t byte
     default:
       ZC_ASSERT(false);
   }
-  if (recorder_ != nullptr) {
-    recorder_->record_call(dst, IronmanCall::kDN, prim, chan, transfer_, src, dst, bytes,
-                           begin, unblocked, t_dst);
-  }
-  if (timeline_ != nullptr) timeline_->add_call(dst, begin, unblocked, t_dst);
-  if (observed()) {
-    // The wire-record FIFO twins `arrivals`; it can be short only if the
-    // observer was attached after traffic was already in flight. The
-    // transfer id comes from the wire record (stamped at send time), not
-    // from transfer_: the consuming DN may belong to a different group's
-    // call slot only in hand-driven tests, never in engine runs.
-    if (!ch.wire_records.empty()) {
-      const WireRecord wr = ch.wire_records.front();
-      ch.wire_records.pop_front();
-      if (recorder_ != nullptr) {
-        recorder_->record_consumed(wr.id, wr.transfer, t_dst, unblocked - begin,
-                                   wr.arrived - wr.on_wire);
-      }
-      if (timeline_ != nullptr) {
-        timeline_->add_wire(dst, wr.on_wire, wr.arrived, unblocked - begin);
-      }
-    }
+  obs_.call(dst, IronmanCall::kDN, prim, chan, transfer_, src, dst, bytes, begin, unblocked,
+            t_dst);
+  // The wire-record FIFO twins `arrivals`; it can be short only if the
+  // observers were attached after traffic was already in flight. The
+  // transfer id comes from the wire record (stamped at send time), not
+  // from transfer_: the consuming DN may belong to a different group's
+  // call slot only in hand-driven tests, never in engine runs.
+  if (obs_.any() && !ch.wire_records.empty()) {
+    const WireRecord wr = ch.wire_records.front();
+    ch.wire_records.pop_front();
+    obs_.consumed(dst, wr.id, wr.transfer, t_dst, unblocked - begin, wr.on_wire, wr.arrived);
   }
 }
 
@@ -206,11 +180,8 @@ void Transport::sv(ChannelHandle h, int64_t chan, int src, int dst, int64_t byte
       const double begin = t_src;
       const double unblocked = std::max(begin, complete);
       t_src = unblocked + machine_.primitive_cpu_cost(prim, bytes);
-      if (recorder_ != nullptr) {
-        recorder_->record_call(src, IronmanCall::kSV, prim, chan, transfer_, src, dst, bytes,
-                               begin, unblocked, t_src);
-      }
-      if (timeline_ != nullptr) timeline_->add_call(src, begin, unblocked, t_src);
+      obs_.call(src, IronmanCall::kSV, prim, chan, transfer_, src, dst, bytes, begin, unblocked,
+                t_src);
       return;
     }
     default:
@@ -223,22 +194,8 @@ bool Transport::dr_is_global_synch() const {
 }
 
 void Transport::global_synch(std::vector<double>& clocks) const {
-  ZC_ASSERT(!clocks.empty());
-  double t = clocks[0];
-  for (double c : clocks) t = std::max(t, c);
   const int stages = machine::barrier_stages(static_cast<int>(clocks.size()));
-  t += machine_.synch_post.overhead + stages * machine_.synch_stage;
-  if (recorder_ != nullptr) {
-    for (std::size_t p = 0; p < clocks.size(); ++p) {
-      recorder_->record_barrier(static_cast<int>(p), clocks[p], t);
-    }
-  }
-  if (timeline_ != nullptr) {
-    for (std::size_t p = 0; p < clocks.size(); ++p) {
-      timeline_->add_barrier(static_cast<int>(p), clocks[p], t);
-    }
-  }
-  std::fill(clocks.begin(), clocks.end(), t);
+  synchronize(clocks, machine_.synch_post.overhead + stages * machine_.synch_stage, obs_);
 }
 
 void Transport::post_readiness(int64_t chan, int src, int dst, double when) {

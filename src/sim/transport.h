@@ -28,11 +28,7 @@
 
 #include "src/ironman/ironman.h"
 #include "src/machine/model.h"
-#include "src/trace/recorder.h"
-
-namespace zc::tseries {
-class SimSeries;
-}  // namespace zc::tseries
+#include "src/sim/observers.h"
 
 namespace zc::sim {
 
@@ -40,29 +36,15 @@ class Transport {
  public:
   Transport(const machine::MachineModel& machine, ironman::CommLibrary library);
 
-  [[nodiscard]] const machine::MachineModel& machine() const { return machine_; }
-  [[nodiscard]] ironman::CommLibrary library() const { return library_; }
-
-  /// Attaches a trace recorder (nullptr = tracing off, the default; no
-  /// per-call work happens then). Every IRONMAN call and message lifecycle
-  /// is recorded while attached.
-  void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
-  [[nodiscard]] trace::Recorder* recorder() const { return recorder_; }
-
-  /// Attaches a windowed time-series sink (nullptr = off, the default; no
-  /// per-call work happens then — the same zero-overhead-off contract as
-  /// the recorder). Every call span, consumed message's wire interval, and
-  /// barrier participation is accumulated while attached; like tracing,
-  /// the timeline never changes timing or numerics.
-  void set_timeline(tseries::SimSeries* timeline) { timeline_ = timeline; }
-  [[nodiscard]] tseries::SimSeries* timeline() const { return timeline_; }
+  /// Attaches the run's observers (observers.h): every IRONMAN call, sent and
+  /// consumed message and barrier is reported to them. Both null by default.
+  void set_observers(Observers observers) { obs_ = observers; }
 
   /// Sets the plan transfer id stamped into subsequently recorded calls and
   /// message lifecycles (the engine sets it per CommGroup before issuing the
   /// group's calls). -1 — the default — marks records as untagged; callers
   /// without a plan (ping, direct tests) never need to touch this.
   void set_transfer(std::int64_t transfer) { transfer_ = transfer; }
-  [[nodiscard]] std::int64_t transfer() const { return transfer_; }
 
   /// The four IRONMAN calls for one message of `bytes` on the channel
   /// `(chan, src, dst)`. `t_dst` / `t_src` are the endpoint clocks,
@@ -121,10 +103,10 @@ class Transport {
   [[nodiscard]] std::size_t in_flight() const;
 
  private:
-  /// Per-message trace state paralleling `arrivals` (maintained while a
-  /// recorder or timeline is attached).
+  /// Per-message observer state paralleling `arrivals` (maintained while
+  /// an observer is attached).
   struct WireRecord {
-    int64_t id = -1;        ///< Recorder message handle (-1 = record dropped)
+    int64_t id = -1;        ///< Observers::send handle (-1 = none kept)
     int64_t transfer = -1;  ///< transfer id at send time (survives the cap)
     double on_wire = 0.0;
     double arrived = 0.0;
@@ -139,23 +121,11 @@ class Transport {
 
   Channel& channel(int64_t chan, int src, int dst);
 
-  /// Records one sent message (SR side) with a recorder or timeline
-  /// attached (the wire-record FIFO feeds both; the recorder handle is -1
-  /// when only the timeline is watching).
-  void trace_send(Channel& ch, int64_t chan, int src, int dst, int64_t bytes,
-                  double t_posted, double t_on_wire, double t_arrived);
-
-  /// True when any observer needs per-message / per-call work.
-  [[nodiscard]] bool observed() const {
-    return recorder_ != nullptr || timeline_ != nullptr;
-  }
-
   const machine::MachineModel machine_;
   const ironman::CommLibrary library_;
   const bool sv_waits_;
   std::map<std::tuple<int64_t, int, int>, Channel> channels_;
-  trace::Recorder* recorder_ = nullptr;
-  tseries::SimSeries* timeline_ = nullptr;
+  Observers obs_;
   int64_t transfer_ = -1;  ///< stamped into trace records (see set_transfer)
 };
 

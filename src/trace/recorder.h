@@ -1,12 +1,12 @@
 // The Recorder: per-processor bounded event buffers plus always-exact
 // aggregate counters, filled by the simulator's hook points.
 //
-// Tracing is opt-in and null by default: the simulator holds a
-// `trace::Recorder*` that is nullptr unless the caller attached one, and
-// every hook site is guarded by that pointer — a run without a recorder
-// performs no event allocation and no aggregate arithmetic (the
-// zero-overhead-when-off contract; e2ebench's attribution workload reports
-// what attaching one costs).
+// Tracing is opt-in and null by default: the recorder is one field of the
+// simulator's observer seam (sim::Observers, src/sim/observers.h), nullptr
+// unless the caller attached one, and each hook's single Observers call
+// tests it — a run without a recorder performs no event allocation and no
+// aggregate arithmetic (the zero-overhead-when-off contract; e2ebench's
+// attribution workload reports what attaching one costs).
 //
 // The detailed Event / MessageRecord buffers are bounded (RecorderOptions);
 // once a cap is hit further records are counted in dropped_events() /

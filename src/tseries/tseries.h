@@ -14,11 +14,11 @@
 //
 // Two producers feed it:
 //   SimSeries   per-simulated-processor CPU / wait / wire / compute /
-//               barrier seconds over simulated time, fed from the same
-//               Transport/Engine hook points as trace::Recorder via a
-//               nullable RunConfig sink (zero overhead when null, exactly
-//               like the recorder; never changes timing or numerics —
-//               golden-checked).
+//               barrier seconds over simulated time, the second field of
+//               the simulator's observer seam (sim::Observers, beside
+//               trace::Recorder), so it is fed by the very hook calls that
+//               feed the recorder (zero overhead when null; never changes
+//               timing or numerics — golden-checked).
 //   WallSeries  thread-safe wall-clock windows: per-worker sweep telemetry
 //               (src/exec/sweep).
 //
@@ -83,8 +83,8 @@ class Windows {
   std::vector<double> data_;  // [row][channel][window], dense
 };
 
-/// The simulator's producer: one row per simulated processor, fed from the
-/// exact hook points that feed trace::Recorder. Attach via
+/// The simulator's producer: one row per simulated processor, fed through
+/// sim::Observers by the hook calls that feed trace::Recorder. Attach via
 /// sim::RunConfig::timeline (nullptr = off, no per-event work at all).
 class SimSeries {
  public:

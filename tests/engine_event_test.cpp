@@ -160,31 +160,34 @@ TEST(EngineEvent, BitIdenticalAcrossBenchmarksOptionsAndLibraries) {
   }
 }
 
-// Exact trace aggregates: the full per-call / per-primitive / per-channel /
-// histogram statistics must agree, not just the run totals. The stable CSV
-// rendering makes the comparison total.
-TEST(EngineEvent, TraceStatsMatchLockstepExactly) {
+// Exact observer output: the full per-call / per-primitive / per-channel /
+// histogram trace statistics and the windowed timeline must agree, not
+// just the run totals, bit for bit (the CSVs render the raw doubles). One
+// binding per primitive family reaches every observer hook, the SHMEM
+// global-synch barrier and the NX-async SV msgwait included. Observing
+// never perturbs the run.
+void expect_observers_match(bool with_timeline) {
   for (const std::string& bench : bench_names()) {
     const programs::BenchmarkInfo& info = programs::benchmark(bench);
     const zir::Program program = parser::parse_program(info.source);
     const comm::CommPlan plan =
         comm::plan_communication(program, comm::OptOptions::for_level(comm::OptLevel::kPL));
-    for (const LibraryCase& lc : library_cases()) {
-      if (lc.library != ironman::CommLibrary::kPVM &&
-          lc.library != ironman::CommLibrary::kSHMEM &&
-          lc.library != ironman::CommLibrary::kNXAsync) {
-        continue;  // one representative binding per primitive family
-      }
+    for (const int family : {0, 1, 3}) {  // t3d/pvm, t3d/shmem, paragon/nx-async
+      const LibraryCase lc = library_cases()[family];
       trace::Recorder lock_rec(kProcs);
       trace::Recorder event_rec(kProcs);
-      const sim::RunResult lock = run_once(program, plan, lc, sim::EngineKind::kLockstep,
-                                           kProcs, info.test_configs, &lock_rec);
-      const sim::RunResult event = run_once(program, plan, lc, sim::EngineKind::kEvent,
-                                            kProcs, info.test_configs, &event_rec);
-      expect_bit_identical(lock, event, bench + " / traced / " + lc.name);
+      tseries::SimSeries lock_series(kProcs);
+      tseries::SimSeries event_series(kProcs);
+      const sim::RunResult lock =
+          run_once(program, plan, lc, sim::EngineKind::kLockstep, kProcs, info.test_configs,
+                   &lock_rec, with_timeline ? &lock_series : nullptr);
+      const sim::RunResult event =
+          run_once(program, plan, lc, sim::EngineKind::kEvent, kProcs, info.test_configs,
+                   &event_rec, with_timeline ? &event_series : nullptr);
+      expect_bit_identical(lock, event, bench + " / observed / " + lc.name);
       EXPECT_EQ(trace::compute_stats(lock_rec).to_csv(), trace::compute_stats(event_rec).to_csv())
           << bench << " / " << lc.name;
-      // Attaching a recorder never perturbs the simulation in either core.
+      EXPECT_EQ(lock_series.to_csv(), event_series.to_csv()) << bench << " / " << lc.name;
       const sim::RunResult bare = run_once(program, plan, lc, sim::EngineKind::kEvent, kProcs,
                                            info.test_configs);
       EXPECT_EQ(exec::result_checksum(bare), exec::result_checksum(event))
@@ -193,24 +196,10 @@ TEST(EngineEvent, TraceStatsMatchLockstepExactly) {
   }
 }
 
-// The windowed timeline reconciles identically: same window sums, same
-// totals, bit for bit (the CSV renders the raw doubles).
-TEST(EngineEvent, TimelineMatchesLockstepExactly) {
-  for (const std::string& bench : bench_names()) {
-    const programs::BenchmarkInfo& info = programs::benchmark(bench);
-    const zir::Program program = parser::parse_program(info.source);
-    const comm::CommPlan plan =
-        comm::plan_communication(program, comm::OptOptions::for_level(comm::OptLevel::kPL));
-    const LibraryCase lc = library_cases()[0];  // t3d/pvm
-    tseries::SimSeries lock_series(kProcs);
-    tseries::SimSeries event_series(kProcs);
-    run_once(program, plan, lc, sim::EngineKind::kLockstep, kProcs, info.test_configs, nullptr,
-             &lock_series);
-    run_once(program, plan, lc, sim::EngineKind::kEvent, kProcs, info.test_configs, nullptr,
-             &event_series);
-    EXPECT_EQ(lock_series.to_csv(), event_series.to_csv()) << bench;
-  }
-}
+TEST(EngineEvent, TraceStatsMatchLockstepExactly) { expect_observers_match(false); }
+
+// Both sinks attached to one run, as comm_explorer --trace --timeline does.
+TEST(EngineEvent, TimelineMatchesLockstepExactly) { expect_observers_match(true); }
 
 // Dynamic (loop-variable-dependent) regions exercise the event core's keyed
 // geometry cache; oddball processor counts exercise ragged decompositions

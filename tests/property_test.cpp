@@ -2,7 +2,8 @@
 //
 //  1. Semantics: for any program, any optimization level, any heuristic,
 //     any library, the multi-processor run produces the same numbers as
-//     the single-processor reference (communication correctness).
+//     the single-processor reference (communication correctness), and the
+//     event and lockstep cores agree bit for bit, observers included.
 //  2. Counts: static counts are monotone (baseline >= rr >= cc), and
 //     pipelining never changes them.
 //  3. Plan well-formedness: DR <= SR <= DN <= SV, intervals legal.
@@ -12,9 +13,13 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "src/comm/optimizer.h"
+#include "src/exec/sweep.h"
 #include "src/sim/engine.h"
+#include "src/trace/stats.h"
+#include "src/tseries/tseries.h"
 #include "src/zir/builder.h"
 
 namespace zc {
@@ -113,9 +118,14 @@ class RandomProgram {
 };
 
 sim::RunResult run_with(const zir::Program& p, const comm::OptOptions& opts, int procs,
-                        ironman::CommLibrary lib) {
+                        ironman::CommLibrary lib, sim::EngineKind engine = sim::EngineKind::kEvent,
+                        trace::Recorder* recorder = nullptr,
+                        tseries::SimSeries* timeline = nullptr) {
   const comm::CommPlan plan = comm::plan_communication(p, opts);
   sim::RunConfig cfg;
+  cfg.engine = engine;
+  cfg.recorder = recorder;
+  cfg.timeline = timeline;
   cfg.procs = procs;
   cfg.library = lib;
   return sim::run_program(p, plan, cfg);
@@ -147,7 +157,12 @@ TEST_P(RandomPrograms, AllOptimizationsPreserveSemantics) {
 
   for (std::size_t v = 0; v < variants.size(); ++v) {
     for (const auto lib : {ironman::CommLibrary::kPVM, ironman::CommLibrary::kSHMEM}) {
-      const sim::RunResult got = run_with(p, variants[v], 4, lib);
+      trace::Recorder event_rec(4);
+      trace::Recorder lock_rec(4);
+      tseries::SimSeries event_series(4);
+      tseries::SimSeries lock_series(4);
+      const sim::RunResult got = run_with(p, variants[v], 4, lib, sim::EngineKind::kEvent,
+                                          &event_rec, &event_series);
       for (const auto& [name, value] : ref.checksums) {
         ASSERT_TRUE(std::isfinite(value)) << "seed " << GetParam();
         const double tol = 1e-9 * std::max(1.0, std::fabs(value));
@@ -157,6 +172,15 @@ TEST_P(RandomPrograms, AllOptimizationsPreserveSemantics) {
       }
       ASSERT_NEAR(got.scalars.at("s"), ref.scalars.at("s"),
                   1e-9 * std::max(1.0, std::fabs(ref.scalars.at("s"))));
+
+      // The lockstep core agrees bit for bit, and so do both observers.
+      const sim::RunResult lock = run_with(p, variants[v], 4, lib, sim::EngineKind::kLockstep,
+                                           &lock_rec, &lock_series);
+      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " variant " + std::to_string(v) +
+                   " lib " + ironman::to_string(lib));
+      ASSERT_EQ(exec::result_checksum(lock), exec::result_checksum(got));
+      ASSERT_EQ(trace::compute_stats(lock_rec).to_csv(), trace::compute_stats(event_rec).to_csv());
+      ASSERT_EQ(lock_series.to_csv(), event_series.to_csv());
     }
   }
 }

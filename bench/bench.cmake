@@ -1,5 +1,5 @@
-# Bench harnesses: one binary per paper table/figure plus ablations, the
-# sweep-scaling harness and the observer-overhead guard. Included from the
+# Bench harnesses: one binary per paper table/figure plus ablations and the
+# observer-overhead guard. Included from the
 # top-level CMakeLists so the binaries land alone in ${CMAKE_BINARY_DIR}/bench.
 
 add_library(zc_bench STATIC
@@ -7,7 +7,7 @@ add_library(zc_bench STATIC
 )
 target_link_libraries(zc_bench PUBLIC
   zc_exec zc_driver zc_programs zc_sim zc_runtime zc_comm zc_parser zc_zir
-  zc_machine zc_ironman zc_archive zc_support)
+  zc_machine zc_ironman zc_support)
 
 function(zc_bench_binary name)
   add_executable(${name} bench/${name}.cpp)
@@ -28,19 +28,23 @@ zc_bench_binary(bench_table1_tomcatv)
 zc_bench_binary(bench_table2_swm)
 zc_bench_binary(bench_table3_simple)
 zc_bench_binary(bench_table4_sp)
-zc_bench_binary(bench_sweep_scaling)
 zc_bench_binary(bench_abl_knee)
 
-# Smoke-run the sweep-scaling harness: asserts the scheduler, the plan
-# cache, and the legacy loop agree bit-identically on the whole fig07 grid
-# (exit 0 iff every slot matched) and that the cache actually hit. The
-# speedup number itself is hardware-dependent and never gated here.
-add_test(NAME bench_sweep_scaling_smoke
-  COMMAND bench_sweep_scaling --procs=4
-          --bench-json=${CMAKE_BINARY_DIR}/bench/BENCH_sweep_scaling_smoke.json)
-set_tests_properties(bench_sweep_scaling_smoke PROPERTIES
-  LABELS "smoke;tsan"
-  PASS_REGULAR_EXPRESSION "determinism: all schedules bit-identical")
+# A harness writes only stdout and its --csv file: run Table 1 from an empty
+# directory and require the directory to still be empty afterwards.
+set(zc_bench_empty_dir ${CMAKE_BINARY_DIR}/bench_empty_cwd)
+add_test(NAME bench_table1_writes_no_files
+  COMMAND bash -c "rm -rf ./* && \"$0\" --procs=4 >/dev/null && [ -z \"$(ls -A)\" ]"
+          $<TARGET_FILE:bench_table1_tomcatv>
+  WORKING_DIRECTORY ${zc_bench_empty_dir})
+set_tests_properties(bench_table1_writes_no_files PROPERTIES LABELS smoke)
+file(MAKE_DIRECTORY ${zc_bench_empty_dir})
+# The harness flags are --paper, --procs, --jobs and --csv; any other (here
+# the retired --bench-json) prints usage and exits 2.
+add_test(NAME bench_table1_rejects_bench_json
+         COMMAND bench_table1_tomcatv --bench-json=x)
+set_tests_properties(bench_table1_rejects_bench_json PROPERTIES
+  LABELS smoke WILL_FAIL TRUE)
 
 zc_bench_binary(bench_observer_overhead)
 target_link_libraries(bench_observer_overhead PRIVATE zc_tseries zc_prof)

@@ -20,8 +20,8 @@
 //
 // The output is the verdict lines only: absolute us/run moves from one
 // process to the next on a shared host, so it is printed, never archived.
-// The one flag is --procs=N; the shared bench flags (--bench-json,
-// --archive, ...) are refused, since this bench writes no BENCH JSON.
+// The one flag is --procs=N; any other argument, the paper harnesses'
+// --paper/--jobs/--csv included, prints usage and exits 2.
 // The trace recorder and the attribution analyses are timed by e2ebench's
 // attribution workload (bench.trace_overhead_frac, analysis.*_s).
 #include <time.h>

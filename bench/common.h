@@ -6,20 +6,11 @@
 //                  default uses the same spatial sizes with fewer
 //                  iterations — counts scale linearly, shapes identical)
 //   --procs=N      processor count (default 64, the paper's partitions)
+//   --jobs=N       sweep-scheduler workers for the grid runs (default 1)
 //   --csv=PATH     also dump machine-readable results
-//   --bench-json=PATH / --no-bench-json
-//                  perf-sample JSON (default BENCH_<name>.json in the
-//                  working directory, <name> from argv[0]); each run is
-//                  sampled and written at exit as median/p10/p90 ns,
-//                  wrapped in the perf-archive envelope (src/archive) so
-//                  every harness's output is archive-ingestible
-//   --archive=PATH also append the enveloped sample to the JSON-lines
-//                  perf archive at PATH (the BENCH file bytes are
-//                  identical with or without this flag)
-//   --now=EPOCH    inject the envelope timestamp (seconds since the
-//                  epoch; default: the current time) — the seam that
-//                  keeps envelope output reproducible under test
-//   --git-sha=SHA  stamp the envelope with the source revision
+//
+// Output goes to stdout and the --csv file only; a harness writes nothing
+// else. Host-time measurement is e2ebench's job (e2ebench/README.md).
 #pragma once
 
 #include <map>
@@ -31,7 +22,6 @@
 #include "src/driver/driver.h"
 #include "src/programs/programs.h"
 #include "src/support/csv.h"
-#include "src/support/json.h"
 
 namespace zc::bench {
 
@@ -43,11 +33,6 @@ struct Options {
   /// bit-identical at any value — see src/exec/sweep.h.
   int jobs = 1;
   std::optional<std::string> csv_path;
-  std::string bench_name;                     ///< argv[0] basename, "bench_" stripped
-  std::optional<std::string> bench_json_path; ///< none = --no-bench-json
-  std::optional<std::string> archive_path;    ///< --archive: append envelope here too
-  long long now_unix = 0;                     ///< --now override (0 = wall clock)
-  std::string git_sha;                        ///< --git-sha, "" = unstamped
 };
 
 /// Parses the common flags; exits with a usage message on unknown flags.
@@ -89,14 +74,6 @@ void print_header(const std::string& figure, const std::string& caption,
 
 /// Writes rows as CSV if --csv was given.
 void maybe_write_csv(const std::vector<Row>& rows, const Options& options);
-
-/// The shared envelope writer every harness's --bench-json path routes
-/// through: wraps `payload` in a perf-archive envelope (host + build
-/// fingerprints, --now/--git-sha stamps), writes it to
-/// options.bench_json_path, and — when --archive was given — appends the
-/// same envelope to the archive. The BENCH file bytes do not depend on
-/// whether archiving is on. No-op when --no-bench-json.
-void write_bench_json(const json::Value& payload, const Options& options);
 
 /// value / baseline as a fraction; NaN if baseline is missing or zero.
 double scaled(const std::vector<Row>& rows, const std::string& experiment, double Row::*field);

@@ -1,17 +1,15 @@
-// zcomm_bench: the perf archive's command line — record bench samples and
-// run reports into an append-only JSON-lines history, query trends over it,
-// and gate fresh samples against like-for-like baselines.
+// zcomm_bench: the perf archive's command line — record run reports into an
+// append-only JSON-lines history, query trends over it, and gate fresh
+// samples against like-for-like baselines.
 //
-//   zcomm_bench record --archive=perf.jsonl BENCH_sweep.json rr.json
-//   zcomm_bench record --archive=perf.jsonl --run "bench_sweep_scaling --jobs=4"
-//   zcomm_bench trend  --archive=perf.jsonl --bench=sweep --metric=median_ns
+//   zcomm_bench record --archive=perf.jsonl swm_rr.json swm_pl.json
+//   zcomm_bench trend  --archive=perf.jsonl --bench=swm --metric=execution_time
 //   zcomm_bench check  --archive=perf.jsonl fresh.json
 //
-// `record` ingests anything the repo emits: enveloped --bench-json captures
-// keep their fingerprints and timestamps; bare payloads (run reports, the
-// committed pre-envelope BENCH_*.json files) are wrapped on the way in —
-// a v5 run report donates its own host block, anything older is honestly
-// recorded as host "unknown" and never used as a gating baseline.
+// `record` takes run reports (comm_explorer --report) and archive lines.
+// Envelopes keep their fingerprints and timestamps; a bare run report is
+// wrapped on the way in and keeps its own host block. A document with no
+// host block at all is rejected.
 //
 // `check` is the regression sentinel: each gateable metric of the fresh
 // sample is compared against the median of its same-host-class history
@@ -57,9 +55,6 @@ using namespace zc;
       "\n"
       "record:\n"
       "  zcomm_bench record --archive=A [opts] <sample.json>...\n"
-      "  zcomm_bench record --archive=A [opts] --run \"<bench cmd>\"\n"
-      "  --run=<cmd>           run the command with --bench-json=<tmp>\n"
-      "                        appended and ingest what it wrote\n"
       "  --now=<epoch>         timestamp injected into records that carry\n"
       "                        none (default: current time)\n"
       "  --git-sha=<sha>       stamp records that carry none\n"
@@ -85,7 +80,6 @@ struct Args {
   std::string bench;
   std::string metric;
   std::string host_class;
-  std::string run_cmd;
   std::string git_sha;
   long long now_unix = 0;
   double band_sigmas = 3.0;
@@ -112,7 +106,7 @@ Args parse_args(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage(0);
     if (take(arg, "--archive", &a.archive) || take(arg, "--bench", &a.bench) ||
         take(arg, "--metric", &a.metric) || take(arg, "--host-class", &a.host_class) ||
-        take(arg, "--run", &a.run_cmd) || take(arg, "--git-sha", &a.git_sha)) {
+        take(arg, "--git-sha", &a.git_sha)) {
       continue;
     }
     if (take(arg, "--now", &s)) {
@@ -180,30 +174,16 @@ archive::Envelope ingest_one(const json::Value& doc, const Args& a, long long no
 }
 
 int cmd_record(const Args& a) {
-  if (a.files.empty() && a.run_cmd.empty()) {
-    std::cerr << "zcomm_bench record: give sample files or --run=<cmd>\n";
+  if (a.files.empty()) {
+    std::cerr << "zcomm_bench record: give sample files\n";
     return 2;
   }
   const long long now =
       a.now_unix != 0 ? a.now_unix : static_cast<long long>(std::time(nullptr));
   const archive::Archive store(a.archive);
 
-  std::vector<std::string> files = a.files;
-  std::string capture;
-  if (!a.run_cmd.empty()) {
-    capture = a.archive + ".capture.json";
-    const std::string cmd = a.run_cmd + " --bench-json=" + capture;
-    std::cout << "running: " << cmd << "\n";
-    const int rc = std::system(cmd.c_str());
-    if (rc != 0) {
-      std::cerr << "zcomm_bench record: bench command failed (status " << rc << ")\n";
-      return 2;
-    }
-    files.push_back(capture);
-  }
-
   int recorded = 0;
-  for (const std::string& path : files) {
+  for (const std::string& path : a.files) {
     for (const json::Value& doc : parse_samples(path)) {
       const archive::Envelope e = ingest_one(doc, a, now);
       store.append(e);
@@ -214,7 +194,6 @@ int cmd_record(const Args& a) {
                 << (e.legacy ? " (legacy)" : "") << "\n";
     }
   }
-  if (!capture.empty()) std::remove(capture.c_str());
   std::cout << recorded << " sample(s) -> " << a.archive << "\n";
   return 0;
 }

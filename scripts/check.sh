@@ -17,8 +17,7 @@ ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j
 
 # Exercise the parallel sweep path explicitly (beyond the smoke-labelled
 # sweep tests): a two-worker grid through the scheduler + plan cache must
-# come back clean, with the per-worker timeline summary on. scripts/
-# bench_sweep.sh is the full scaling harness.
+# come back clean, with the per-worker timeline summary on.
 "$BUILD_DIR"/examples/comm_explorer \
   --sweep "bench=figure1;experiment=all;procs=4" --jobs 2 --timeline 2>/dev/null \
   | grep -q 'worker 0' \
@@ -62,8 +61,7 @@ PY
 # Perf-archive round trip: record deterministic run reports into a scratch
 # archive, require the trend table to list their series, and require the
 # regression gate to pass on a like-for-like sample and to fail on an
-# injected 2x slowdown. scripts/bench_*.sh append to the real
-# ${ARCHIVE:-perf_archive.jsonl}; this probes the machinery on a temp file.
+# injected 2x slowdown, all on a temp file.
 ARC_DIR="$(mktemp -d)"
 ARC="$ARC_DIR/archive.jsonl"
 "$BUILD_DIR"/examples/comm_explorer --bench figure1 --experiment pl --procs 4 \

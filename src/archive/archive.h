@@ -3,11 +3,10 @@
 // archive survives concurrent benches and interrupted runs; readers skip
 // blank lines and surface (rather than die on) unparseable ones.
 //
-// On top of the raw records sits the metric view: every payload schema the
-// repo produces (zcomm-bench-perf, the sweep/tseries harness docs,
+// On top of the raw records sits the metric view: any payload (today the
 // zcomm-run-report) flattens into named numeric metrics with a measurement
 // direction, so trend statistics and regression gates (trend.h) work
-// uniformly over all of them.
+// uniformly over it.
 #pragma once
 
 #include <map>

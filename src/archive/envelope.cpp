@@ -3,6 +3,8 @@
 #include <ctime>
 #include <utility>
 
+#include "src/support/diag.h"
+
 namespace zc::archive {
 
 namespace {
@@ -66,17 +68,16 @@ Envelope envelope_from_json(const json::Value& doc) {
                          doc.at("schema").is_string() &&
                          doc.at("schema").string == kEnvelopeSchema;
   if (!enveloped) {
-    // A pre-envelope sample: keep the payload whole. A bare run report
-    // (schema v5+) carries its own "host" fingerprint block — adopt it;
-    // anything older is honestly host-unknown.
+    // A bare run report (schema v5+): keep the payload whole and adopt its
+    // own "host" fingerprint block. Without one there is no host to gate
+    // against, so the document is not a sample.
+    if (!(doc.is_object() && doc.has("host") && doc.at("host").is_object() &&
+          doc.at("host").has("class"))) {
+      throw Error("not a perf sample: neither an envelope nor a payload with a host block");
+    }
     e.legacy = true;
     e.payload = doc;
-    if (doc.is_object() && doc.has("host") && doc.at("host").is_object() &&
-        doc.at("host").has("class")) {
-      e.host = fingerprint::Host::from_json(doc.at("host"));
-    } else {
-      e.host.known = false;
-    }
+    e.host = fingerprint::Host::from_json(doc.at("host"));
     lift_labels(e);
     return e;
   }

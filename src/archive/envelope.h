@@ -6,9 +6,8 @@
 // fingerprint: cores, CPU model, page size, sanitizer) and *with what*
 // (build fingerprint: compiler, build type), plus an optional git sha.
 //
-// Pre-envelope files (the committed BENCH_*.json history) parse as legacy
-// records: payload preserved, host class "unknown" — still ingestible and
-// queryable, but never eligible for a like-for-like regression gate.
+// A bare run report (no envelope) parses as a legacy record: payload
+// preserved, host taken from the report's own "host" block, no build block.
 #pragma once
 
 #include <string>
@@ -25,8 +24,8 @@ struct Envelope {
   int version = kEnvelopeVersion;
   long long unix_time = 0;      ///< seconds since the epoch, injected by the caller
   std::string git_sha;          ///< "" = not recorded
-  bool legacy = false;          ///< payload predates the envelope (host unknown)
-  fingerprint::Host host;       ///< host.known == false for legacy records
+  bool legacy = false;          ///< a bare payload, recorded without an envelope
+  fingerprint::Host host;       ///< host.known == false: no host recorded, never gates
   fingerprint::Build build;     ///< empty strings for legacy records
   std::string kind;             ///< payload "schema" string, or "unknown"
   std::string bench;            ///< payload "bench" label, or "" when absent
@@ -46,9 +45,9 @@ struct Envelope {
 /// members when present.
 Envelope wrap(json::Value payload, long long unix_time, std::string git_sha = "");
 
-/// Parses either an envelope document or a bare legacy payload (anything
-/// without schema == "zcomm-perf-envelope"), which becomes a legacy record
-/// with host class "unknown" and unix_time 0.
+/// Parses either an envelope document or a bare payload that carries its
+/// own "host" block with a "class" (a v5+ run report), which becomes a
+/// legacy record with unix_time 0. Throws zc::Error on any other document.
 Envelope envelope_from_json(const json::Value& doc);
 
 }  // namespace zc::archive

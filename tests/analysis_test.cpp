@@ -136,7 +136,9 @@ TEST(CriticalPath, DecomposesMakespanExactly) {
   for (const PathTransfer& t : cp.transfers) {
     EXPECT_GE(t.slack_seconds, 0.0);
     EXPECT_GT(t.messages, 0);
-    if (t.on_path) EXPECT_GT(t.path_seconds, 0.0);
+    if (t.on_path) {
+      EXPECT_GT(t.path_seconds, 0.0);
+    }
   }
   const std::string dumped = cp.to_json().dump();
   EXPECT_EQ(json::parse(dumped).dump(), dumped);

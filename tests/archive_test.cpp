@@ -1,7 +1,7 @@
-// The perf archive (src/archive): envelope round trips, legacy ingestion
-// of pre-envelope samples (including every committed BENCH_*.json), metric
-// extraction and direction inference, MAD noise bands, the like-for-like
-// regression gate with its host-class refusal, and the JSON-lines store.
+// The perf archive (src/archive): envelope round trips, bare run-report
+// ingestion (and rejection of host-less payloads), metric extraction and
+// direction inference, MAD noise bands, the like-for-like regression gate
+// with its host-class refusal, and the JSON-lines store.
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -11,6 +11,7 @@
 #include "src/archive/archive.h"
 #include "src/archive/envelope.h"
 #include "src/archive/trend.h"
+#include "src/support/diag.h"
 #include "src/support/fingerprint.h"
 #include "src/support/io.h"
 #include "src/support/json.h"
@@ -67,14 +68,11 @@ TEST(Envelope, WrapRoundTripsThroughJson) {
   EXPECT_EQ(back.to_json().dump(0), e.to_json().dump(0));
 }
 
-TEST(Envelope, BarePayloadIngestsAsLegacyHostUnknown) {
-  const Envelope e = archive::envelope_from_json(bench_payload("t1", 9.0));
-  EXPECT_TRUE(e.legacy);
-  EXPECT_FALSE(e.host.known);
-  EXPECT_EQ(e.host_class(), "unknown");
-  EXPECT_EQ(e.kind, "zcomm-bench-perf");
-  EXPECT_EQ(e.bench, "t1");
-  EXPECT_EQ(e.unix_time, 0);
+TEST(Envelope, BarePayloadWithoutHostIsRejected) {
+  EXPECT_THROW(archive::envelope_from_json(bench_payload("t1", 9.0)), Error);
+  Value hostless = bench_payload("t1", 9.0);
+  hostless["host"] = Value::make_object();
+  EXPECT_THROW(archive::envelope_from_json(hostless), Error) << "host block without a class";
 }
 
 TEST(Envelope, BareRunReportDonatesItsOwnHostBlock) {
@@ -264,13 +262,23 @@ TEST(Check, CrossHostClassHistoryIsRefusedNotCompared) {
 }
 
 TEST(Check, LegacyUnknownHostRecordsNeverGate) {
+  // Archives may hold host-unknown legacy lines (host {"class":
+  // "unknown"}, no build block) recorded before host-less payloads were
+  // rejected; they must still read back as host class "unknown".
+  Envelope old = sample("t1", 100, 1);
+  old.legacy = true;
+  old.host.known = false;
+  const Value line = json::parse(old.to_json().dump(0));
   std::vector<Envelope> history;
   for (long long t = 1; t <= 3; ++t) {
-    history.push_back(archive::envelope_from_json(bench_payload("t1", 100.0)));
+    history.push_back(archive::envelope_from_json(line));
     history.back().unix_time = t;
   }
-  // Fresh sample from a real host: legacy history is not like-for-like, so
-  // this refuses rather than comparing against unknown hardware.
+  ASSERT_TRUE(history[0].legacy);
+  ASSERT_EQ(history[0].host_class(), "unknown");
+  // Fresh sample from a real host: unknown-host history is not
+  // like-for-like, so this refuses rather than comparing against unknown
+  // hardware.
   const archive::CheckResult r =
       archive::check_sample(history, sample("t1", 100, 9, "box-a"));
   EXPECT_EQ(r.overall(), Verdict::kRefusedHostClass);
@@ -324,50 +332,21 @@ TEST(Store, UnparseableLinesAreSkippedNotFatal) {
   const archive::Archive store(path);
   store.append(sample("t1", 100, 1, "box-a"));
   {
-    // Simulate a torn concurrent write plus stray noise.
+    // Simulate a torn concurrent write, stray noise and a host-less payload.
     std::string text = io::read_text_file(path);
     text += "{\"schema\": \"zcomm-perf-env";
     text += "\n\nnot json at all\n";
+    text += bench_payload("t1", 9.0).dump(0) + "\n";
     io::write_text_file(path, text);
   }
   store.append(sample("t1", 101, 2, "box-a"));
 
   int skipped = 0;
   const std::vector<Envelope> all = store.read_all(&skipped);
-  EXPECT_EQ(skipped, 2) << "torn line + noise line; blanks are free";
+  EXPECT_EQ(skipped, 3) << "torn line + noise line + host-less payload; blanks are free";
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[1].unix_time, 2);
   std::filesystem::remove(path);
-}
-
-TEST(Store, CommittedBenchFilesAllIngest) {
-  // Every BENCH_*.json committed at the repo root must stay readable
-  // forever. Pre-envelope files (through PR 9) ingest as legacy samples
-  // under host class "unknown" — trendable history, never a gating
-  // baseline. Envelope-era files carry the recording host's class and
-  // timestamp verbatim. Either way, metrics must extract.
-  const std::filesystem::path root = ZC_REPO_ROOT;
-  int seen = 0, legacy = 0, enveloped = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(root)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json") continue;
-    ++seen;
-    const Envelope e =
-        archive::envelope_from_json(json::parse(io::read_text_file(entry.path().string())));
-    if (e.legacy) {
-      ++legacy;
-      EXPECT_EQ(e.host_class(), "unknown") << name;
-    } else {
-      ++enveloped;
-      EXPECT_NE(e.host_class(), "unknown") << name;
-      EXPECT_GT(e.unix_time, 0) << name;
-    }
-    EXPECT_FALSE(e.bench.empty()) << name;
-    EXPECT_GT(archive::extract_metrics(e).size(), 0u) << name;
-  }
-  EXPECT_GE(seen, 3) << "the repo ships at least three BENCH_*.json fixtures";
-  EXPECT_GE(legacy, 1) << "a pre-envelope fixture must stay committed (back-compat)";
-  EXPECT_GE(enveloped, 1) << "the engine-scaling era ships full envelopes";
 }
 
 }  // namespace

@@ -234,7 +234,9 @@ TEST(InterBlock, ReducesBenchmarkCounts) {
     const int pl = plan_communication(p, OptOptions::for_level(OptLevel::kPL)).static_count();
     const int inter = plan_communication(p, with_inter_block()).static_count();
     EXPECT_LE(inter, pl) << info.name;
-    if (info.name == "simple") EXPECT_LT(inter, pl);
+    if (info.name == "simple") {
+      EXPECT_LT(inter, pl);
+    }
   }
 }
 

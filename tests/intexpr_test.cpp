@@ -40,11 +40,11 @@ TEST_F(IntExprTest, Arithmetic) {
 }
 
 TEST_F(IntExprTest, DivisionByZeroThrows) {
-  EXPECT_THROW(IntExpr::div(IntExpr::constant(1), IntExpr::constant(0)).eval(env_), Error);
+  EXPECT_THROW((void)IntExpr::div(IntExpr::constant(1), IntExpr::constant(0)).eval(env_), Error);
 }
 
 TEST_F(IntExprTest, UnboundLoopVarThrows) {
-  EXPECT_THROW(IntExpr::loop_var(i_).eval(env_), Error);
+  EXPECT_THROW((void)IntExpr::loop_var(i_).eval(env_), Error);
 }
 
 TEST_F(IntExprTest, BoundLoopVarEvaluates) {

@@ -78,7 +78,9 @@ TEST(Counts, MaxLatencyKeepsMoreCommunications) {
         static_count(p, comm::OptLevel::kPL, comm::CombineHeuristic::kMaxLatency);
     EXPECT_GE(maxlat, maxcomb) << info.name;
     EXPECT_LE(maxlat, rr) << info.name;
-    if (info.name == "tomcatv") EXPECT_EQ(maxlat, rr);
+    if (info.name == "tomcatv") {
+      EXPECT_EQ(maxlat, rr);
+    }
   }
 }
 

@@ -180,7 +180,9 @@ TEST(PassLogTest, CCGroupMembersPartitionLiveTransfers) {
         EXPECT_GT(m.group_est_elems, 0);
         EXPECT_GE(m.group_est_elems, m.est_elems);
       }
-      if (!opts.combine) EXPECT_TRUE(log.cc.empty());
+      if (!opts.combine) {
+        EXPECT_TRUE(log.cc.empty());
+      }
     }
   }
 }
@@ -218,7 +220,9 @@ TEST(PassLogTest, PLPlacementsStayWithinFeasibleInterval) {
         EXPECT_LE(p.sr_pos, p.first_use);
         EXPECT_EQ(p.dn_pos, p.first_use) << "DN stays at the first use";
         EXPECT_EQ(p.pipelined, opts.pipeline);
-        if (!opts.pipeline) EXPECT_EQ(p.sr_hoist, 0);
+        if (!opts.pipeline) {
+          EXPECT_EQ(p.sr_hoist, 0);
+        }
       }
     }
   }

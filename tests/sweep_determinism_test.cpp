@@ -14,6 +14,7 @@
 #include "src/exec/plan_cache.h"
 #include "src/exec/sweep.h"
 #include "src/parser/parser.h"
+#include "src/programs/programs.h"
 #include "src/support/metrics.h"
 
 namespace zc::exec {
@@ -169,6 +170,57 @@ TEST(SweepDeterminism, CacheSharesOnePlanObjectPerKey) {
     EXPECT_EQ(results[i].plan.get(), results[base_slot].plan.get())
         << items[i].label << " should share " << items[base_slot].label << "'s plan";
   }
+}
+
+// The paper grid three ways — driver::run_experiment (plans every run),
+// run_sweep inline at jobs=1, and run_sweep on 4 workers, each sweep with a
+// fresh plan cache — must agree per slot on the result checksum and the
+// static and dynamic counts; "pl" and "pl with shmem" share a plan, so the
+// 4-worker cache must hit.
+TEST(SweepDeterminism, SuiteGridMatchesPlanEveryRunLoop) {
+  std::vector<SweepItem> items;
+  for (const programs::BenchmarkInfo& info : programs::benchmark_suite()) {
+    const auto program =
+        std::make_shared<const zir::Program>(parser::parse_program(info.source));
+    for (const driver::Experiment& e : driver::paper_experiments()) {
+      SweepItem item;
+      item.label = info.name + "/" + e.name;
+      item.program = program;
+      item.experiment = e;
+      item.procs = 4;
+      item.config_overrides = info.test_configs;
+      items.push_back(std::move(item));
+    }
+  }
+
+  PlanCache serial_cache;
+  SweepOptions serial_opts;
+  serial_opts.jobs = 1;
+  serial_opts.plan_cache = &serial_cache;
+  const std::vector<SweepResult> serial = run_sweep(items, serial_opts);
+  PlanCache parallel_cache;
+  SweepOptions parallel_opts;
+  parallel_opts.jobs = 4;
+  parallel_opts.plan_cache = &parallel_cache;
+  const std::vector<SweepResult> parallel = run_sweep(items, parallel_opts);
+  ASSERT_EQ(serial.size(), items.size());
+  ASSERT_EQ(parallel.size(), items.size());
+
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    sim::RunConfig cfg;
+    cfg.procs = items[i].procs;
+    cfg.config_overrides = items[i].config_overrides;
+    const driver::Metrics want =
+        driver::run_experiment(*items[i].program, items[i].experiment, cfg);
+    for (const SweepResult* got : {&serial[i], &parallel[i]}) {
+      ASSERT_TRUE(got->ok) << items[i].label << ": " << got->error;
+      EXPECT_EQ(result_checksum(got->metrics.run), result_checksum(want.run))
+          << items[i].label;
+      EXPECT_EQ(got->metrics.static_count, want.static_count) << items[i].label;
+      EXPECT_EQ(got->metrics.dynamic_count, want.dynamic_count) << items[i].label;
+    }
+  }
+  EXPECT_GT(parallel_cache.stats().hits, 0);
 }
 
 }  // namespace

@@ -182,19 +182,20 @@ int cmd_record(const Args& a) {
       a.now_unix != 0 ? a.now_unix : static_cast<long long>(std::time(nullptr));
   const archive::Archive store(a.archive);
 
-  int recorded = 0;
+  // Ingest the whole batch before appending any of it: a file that fails
+  // to parse leaves the archive as it was.
+  std::vector<archive::Envelope> batch;
   for (const std::string& path : a.files) {
-    for (const json::Value& doc : parse_samples(path)) {
-      const archive::Envelope e = ingest_one(doc, a, now);
-      store.append(e);
-      ++recorded;
-      std::cout << "recorded " << (e.bench.empty() ? e.kind : e.bench) << " ["
-                << e.kind << "] host=" << e.host_class() << " metrics="
-                << archive::extract_metrics(e).size()
-                << (e.legacy ? " (legacy)" : "") << "\n";
-    }
+    for (const json::Value& doc : parse_samples(path)) batch.push_back(ingest_one(doc, a, now));
   }
-  std::cout << recorded << " sample(s) -> " << a.archive << "\n";
+  for (const archive::Envelope& e : batch) {
+    store.append(e);
+    std::cout << "recorded " << (e.bench.empty() ? e.kind : e.bench) << " ["
+              << e.kind << "] host=" << e.host_class() << " metrics="
+              << archive::extract_metrics(e).size()
+              << (e.legacy ? " (legacy)" : "") << "\n";
+  }
+  std::cout << batch.size() << " sample(s) -> " << a.archive << "\n";
   return 0;
 }
 

@@ -32,6 +32,14 @@ class LocalArray {
   [[nodiscard]] double at(long long i, long long j = 0, long long k = 0) const;
   double& at(long long i, long long j = 0, long long k = 0);
 
+  /// Pointer to the element at a global index (within the storage box).
+  /// The last dimension is contiguous from there; `stride(d)` is the step
+  /// between neighbours in dimension d.
+  [[nodiscard]] const double* data_at(long long i, long long j = 0, long long k = 0) const {
+    return data_.data() + offset(i, j, k);
+  }
+  [[nodiscard]] long long stride(int dim) const { return stride_[dim]; }
+
   /// Bulk copy of `b` (within the storage box) into `out`, row-major
   /// (dim 0 outer, last dim contiguous). `out` must hold b.count() doubles.
   void read_box(const Box& b, double* out) const;

@@ -18,32 +18,9 @@ Box Box::make(int rank, std::array<long long, kMaxRank> lo, std::array<long long
   return b;
 }
 
-bool Box::empty() const {
-  for (int d = 0; d < rank; ++d) {
-    if (lo[d] > hi[d]) return true;
-  }
-  return rank == 0;
-}
-
 long long Box::extent(int dim) const {
   ZC_ASSERT(dim >= 0 && dim < rank);
   return std::max<long long>(0, hi[dim] - lo[dim] + 1);
-}
-
-long long Box::count() const {
-  if (empty()) return 0;
-  long long n = 1;
-  for (int d = 0; d < rank; ++d) n *= extent(d);
-  return n;
-}
-
-bool Box::contains(const Box& inner) const {
-  if (inner.empty()) return true;
-  if (empty() || inner.rank != rank) return false;
-  for (int d = 0; d < rank; ++d) {
-    if (inner.lo[d] < lo[d] || inner.hi[d] > hi[d]) return false;
-  }
-  return true;
 }
 
 Box Box::shifted(const std::vector<int>& offsets) const {
@@ -51,17 +28,6 @@ Box Box::shifted(const std::vector<int>& offsets) const {
   for (int d = 0; d < rank && d < static_cast<int>(offsets.size()); ++d) {
     b.lo[d] += offsets[d];
     b.hi[d] += offsets[d];
-  }
-  return b;
-}
-
-Box Box::intersect(const Box& other) const {
-  ZC_ASSERT(rank == other.rank);
-  Box b;
-  b.rank = rank;
-  for (int d = 0; d < rank; ++d) {
-    b.lo[d] = std::max(lo[d], other.lo[d]);
-    b.hi[d] = std::min(hi[d], other.hi[d]);
   }
   return b;
 }

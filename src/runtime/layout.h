@@ -7,10 +7,12 @@
 // first two dimensions; the third is processor-local.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
 
+#include "src/support/check.h"
 #include "src/zir/program.h"
 
 namespace zc::rt {
@@ -27,16 +29,42 @@ struct Box {
   [[nodiscard]] static Box make(int rank, std::array<long long, kMaxRank> lo,
                                 std::array<long long, kMaxRank> hi);
 
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const {
+    for (int d = 0; d < rank; ++d) {
+      if (lo[d] > hi[d]) return true;
+    }
+    return rank == 0;
+  }
   [[nodiscard]] long long extent(int dim) const;
-  [[nodiscard]] long long count() const;
-  [[nodiscard]] bool contains(const Box& inner) const;
+  [[nodiscard]] long long count() const {
+    if (empty()) return 0;
+    long long n = 1;
+    for (int d = 0; d < rank; ++d) n *= hi[d] - lo[d] + 1;
+    return n;
+  }
+  [[nodiscard]] bool contains(const Box& inner) const {
+    if (inner.empty()) return true;
+    if (empty() || inner.rank != rank) return false;
+    for (int d = 0; d < rank; ++d) {
+      if (inner.lo[d] < lo[d] || inner.hi[d] > hi[d]) return false;
+    }
+    return true;
+  }
 
   /// Shifts the whole box by the direction's offsets (dims beyond the
   /// direction's rank are unshifted).
   [[nodiscard]] Box shifted(const std::vector<int>& offsets) const;
 
-  [[nodiscard]] Box intersect(const Box& other) const;
+  [[nodiscard]] Box intersect(const Box& other) const {
+    ZC_ASSERT(rank == other.rank);
+    Box b;
+    b.rank = rank;
+    for (int d = 0; d < rank; ++d) {
+      b.lo[d] = std::max(lo[d], other.lo[d]);
+      b.hi[d] = std::min(hi[d], other.hi[d]);
+    }
+    return b;
+  }
 
   /// `*this` minus `other` as a list of disjoint boxes (≤ 2·rank pieces),
   /// in a deterministic dim-major order.

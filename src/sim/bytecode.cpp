@@ -113,21 +113,56 @@ ExprProg compile_expr(const zir::Program& program, zir::ExprId id) {
   return ExprCompiler(program).compile(id);
 }
 
-const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Program& program,
-                                          const std::vector<rt::LocalArray>& arrays,
-                                          const std::vector<double>& scalars,
-                                          const zir::IntEnv& env, const rt::Box& box,
-                                          ExprScratch& scratch) {
-  const std::size_t n = static_cast<std::size_t>(box.count());
-  auto& vb = scratch.vbufs;
-  if (vb.size() < static_cast<std::size_t>(std::max(prog.max_vdepth, 1))) {
-    vb.resize(static_cast<std::size_t>(std::max(prog.max_vdepth, 1)));
+namespace {
+
+/// Calls `body(f)` with `f` the scalar semantics of `op`: a plain callable
+/// for + - * /, so the row loop carries no per-element operator switch, and
+/// rt::apply_bin for the rest. Either way each element sees exactly the
+/// operation apply_bin performs.
+template <typename Body>
+void with_bin(zir::BinOp op, Body&& body) {
+  switch (op) {
+    case zir::BinOp::kAdd: body([](double x, double y) { return x + y; }); return;
+    case zir::BinOp::kSub: body([](double x, double y) { return x - y; }); return;
+    case zir::BinOp::kMul: body([](double x, double y) { return x * y; }); return;
+    case zir::BinOp::kDiv: body([](double x, double y) { return x / y; }); return;
+    default: body([op](double x, double y) { return rt::apply_bin(op, x, y); }); return;
   }
-  auto& ss = scratch.sstack;
+}
+
+/// Binds `prog` to `box`: runs the scalar steps, locates every array
+/// operand in storage and checks every shift, all in step order, leaving
+/// the vector steps in `scratch.bound`. Returns the scalar result of a
+/// scalar-valued program.
+double bind_expr_prog(const ExprProg& prog, const zir::Program& program,
+                      const std::vector<rt::LocalArray>& arrays,
+                      const std::vector<double>& scalars, const zir::IntEnv& env,
+                      const rt::Box& box, ExprScratch& scratch) {
+  std::vector<double>& ss = scratch.sstack;
+  std::vector<RowStep>& bound = scratch.bound;
   ss.clear();
-  int vd = 0;
+  bound.clear();
+  // An empty box reads nothing, so its operands are never located.
+  const bool nonempty = !box.empty();
+  const auto bind_array = [&](RowStep& rs, const rt::LocalArray& a, const rt::Box& src) {
+    if (nonempty) {
+      rs.src = a.data_at(src.lo[0], src.rank >= 2 ? src.lo[1] : 0, src.rank >= 3 ? src.lo[2] : 0);
+      rs.stride0 = src.rank >= 2 ? a.stride(0) : 0;
+      rs.stride1 = src.rank >= 3 ? a.stride(1) : 0;
+    }
+    bound.push_back(rs);
+  };
+  const auto pop = [&ss] {
+    const double v = ss.back();
+    ss.pop_back();
+    return v;
+  };
 
   for (const ExprStep& st : prog.steps) {
+    RowStep rs;
+    rs.op = st.op;
+    rs.bin_op = st.bin_op;
+    rs.un_op = st.un_op;
     switch (st.op) {
       case ExprStep::Op::kConstS:
         ss.push_back(st.value);
@@ -143,8 +178,7 @@ const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Progr
         ss.push_back(static_cast<double>(env.config_values[static_cast<std::size_t>(st.a)]));
         break;
       case ExprStep::Op::kBinSS: {
-        const double b = ss.back();
-        ss.pop_back();
+        const double b = pop();
         ss.back() = rt::apply_bin(st.bin_op, ss.back(), b);
         break;
       }
@@ -152,16 +186,12 @@ const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Progr
         ss.back() = rt::apply_un(st.un_op, ss.back());
         break;
       case ExprStep::Op::kLoadArray: {
-        std::vector<double>& buf = vb[static_cast<std::size_t>(vd++)];
-        buf.resize(n);
         const rt::LocalArray& a = arrays[static_cast<std::size_t>(st.a)];
         ZC_ASSERT(a.covers(box));
-        a.read_box(box, buf.data());
+        bind_array(rs, a, box);
         break;
       }
       case ExprStep::Op::kLoadShift: {
-        std::vector<double>& buf = vb[static_cast<std::size_t>(vd++)];
-        buf.resize(n);
         const rt::LocalArray& a = arrays[static_cast<std::size_t>(st.a)];
         const rt::Box src =
             box.shifted(program.direction(zir::DirectionId(st.b)).offsets);
@@ -170,66 +200,135 @@ const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Progr
                       "' outside its declared region (program reads past its border): need " +
                       src.to_string() + ", have " + a.storage_box().to_string());
         }
-        a.read_box(src, buf.data());
+        bind_array(rs, a, src);
         break;
       }
-      case ExprStep::Op::kLoadIndex: {
-        std::vector<double>& buf = vb[static_cast<std::size_t>(vd++)];
-        buf.resize(n);
-        const int dim = st.a - 1;
-        ZC_ASSERT(dim >= 0 && dim < box.rank);
-        std::size_t k = 0;
-        const rt::Box& b = box;
-        const long long j_lo = b.rank >= 2 ? b.lo[1] : 0;
-        const long long j_hi = b.rank >= 2 ? b.hi[1] : 0;
-        const long long k_lo = b.rank >= 3 ? b.lo[2] : 0;
-        const long long k_hi = b.rank >= 3 ? b.hi[2] : 0;
-        for (long long i = b.lo[0]; i <= b.hi[0]; ++i) {
-          for (long long j = j_lo; j <= j_hi; ++j) {
-            for (long long kk = k_lo; kk <= k_hi; ++kk) {
-              const long long coord = dim == 0 ? i : dim == 1 ? j : kk;
-              buf[k++] = static_cast<double>(coord);
-            }
-          }
-        }
+      case ExprStep::Op::kLoadIndex:
+        rs.dim = st.a - 1;
+        ZC_ASSERT(rs.dim >= 0 && rs.dim < box.rank);
+        bound.push_back(rs);
         break;
-      }
-      case ExprStep::Op::kBinVV: {
-        std::vector<double>& l = vb[static_cast<std::size_t>(vd - 2)];
-        const std::vector<double>& r = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) l[i] = rt::apply_bin(st.bin_op, l[i], r[i]);
-        --vd;
+      case ExprStep::Op::kBinVS:
+      case ExprStep::Op::kBinSV:
+        rs.scalar = pop();
+        bound.push_back(rs);
         break;
-      }
-      case ExprStep::Op::kBinVS: {
-        const double b = ss.back();
-        ss.pop_back();
-        std::vector<double>& l = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) l[i] = rt::apply_bin(st.bin_op, l[i], b);
+      case ExprStep::Op::kBinVV:
+      case ExprStep::Op::kUnV:
+        bound.push_back(rs);
         break;
-      }
-      case ExprStep::Op::kBinSV: {
-        const double a = ss.back();
-        ss.pop_back();
-        std::vector<double>& r = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) r[i] = rt::apply_bin(st.bin_op, a, r[i]);
-        break;
-      }
-      case ExprStep::Op::kUnV: {
-        std::vector<double>& l = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) l[i] = rt::apply_un(st.un_op, l[i]);
-        break;
-      }
     }
   }
+  ZC_ASSERT(ss.size() == (prog.is_vec ? 0u : 1u));
+  return prog.is_vec ? 0.0 : ss.back();
+}
 
-  if (prog.is_vec) {
-    ZC_ASSERT(vd == 1 && ss.empty());
-    return vb[0];
+}  // namespace
+
+const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Program& program,
+                                          const std::vector<rt::LocalArray>& arrays,
+                                          const std::vector<double>& scalars,
+                                          const zir::IntEnv& env, const rt::Box& box,
+                                          ExprScratch& scratch) {
+  const double splat = bind_expr_prog(prog, program, arrays, scalars, env, box, scratch);
+  std::vector<double>& result = scratch.result;
+  const std::size_t n = static_cast<std::size_t>(box.count());
+  if (!prog.is_vec || n == 0) {
+    result.assign(n, splat);
+    return result;
   }
-  ZC_ASSERT(vd == 0 && ss.size() == 1);
-  vb[0].assign(n, ss.back());
-  return vb[0];
+  result.resize(n);
+
+  // Rows are the contiguous last-dimension spans of the box, row-major.
+  const int rank = box.rank;
+  const std::size_t len = static_cast<std::size_t>(box.hi[rank - 1] - box.lo[rank - 1] + 1);
+  const long long rows0 = rank >= 2 ? box.extent(0) : 1;
+  const long long rows1 = rank >= 3 ? box.extent(1) : 1;
+
+  // Depth 0 computes straight into the result row; deeper operands that
+  // are not read in place get one row buffer per depth.
+  const std::size_t depth = static_cast<std::size_t>(prog.max_vdepth);
+  if (scratch.rows.size() < depth) scratch.rows.resize(depth);
+  for (std::size_t d = 1; d < depth; ++d) {
+    if (scratch.rows[d].size() < len) scratch.rows[d].resize(len);
+  }
+  std::vector<const double*>& vs = scratch.vstack;
+  vs.resize(depth);
+
+  double* out = result.data();
+  for (long long oi = 0; oi < rows0; ++oi) {
+    for (long long oj = 0; oj < rows1; ++oj, out += len) {
+      const auto buf = [&](int d) {
+        return d == 0 ? out : scratch.rows[static_cast<std::size_t>(d)].data();
+      };
+      int vd = 0;
+      for (const RowStep& rs : scratch.bound) {
+        switch (rs.op) {
+          case ExprStep::Op::kLoadArray:
+          case ExprStep::Op::kLoadShift:
+            vs[static_cast<std::size_t>(vd++)] = rs.src + oi * rs.stride0 + oj * rs.stride1;
+            break;
+          case ExprStep::Op::kLoadIndex: {
+            double* w = buf(vd);
+            if (rs.dim == rank - 1) {
+              const long long lo = box.lo[rank - 1];
+              for (std::size_t t = 0; t < len; ++t) {
+                w[t] = static_cast<double>(lo + static_cast<long long>(t));
+              }
+            } else {
+              const long long coord = box.lo[rs.dim] + (rs.dim == 0 ? oi : oj);
+              std::fill(w, w + len, static_cast<double>(coord));
+            }
+            vs[static_cast<std::size_t>(vd++)] = w;
+            break;
+          }
+          case ExprStep::Op::kBinVV: {
+            double* w = buf(vd - 2);
+            const double* l = vs[static_cast<std::size_t>(vd - 2)];
+            const double* r = vs[static_cast<std::size_t>(vd - 1)];
+            with_bin(rs.bin_op, [&](auto f) {
+              for (std::size_t t = 0; t < len; ++t) w[t] = f(l[t], r[t]);
+            });
+            vs[static_cast<std::size_t>(vd - 2)] = w;
+            --vd;
+            break;
+          }
+          case ExprStep::Op::kBinVS: {
+            double* w = buf(vd - 1);
+            const double* l = vs[static_cast<std::size_t>(vd - 1)];
+            const double b = rs.scalar;
+            with_bin(rs.bin_op, [&](auto f) {
+              for (std::size_t t = 0; t < len; ++t) w[t] = f(l[t], b);
+            });
+            vs[static_cast<std::size_t>(vd - 1)] = w;
+            break;
+          }
+          case ExprStep::Op::kBinSV: {
+            double* w = buf(vd - 1);
+            const double a = rs.scalar;
+            const double* r = vs[static_cast<std::size_t>(vd - 1)];
+            with_bin(rs.bin_op, [&](auto f) {
+              for (std::size_t t = 0; t < len; ++t) w[t] = f(a, r[t]);
+            });
+            vs[static_cast<std::size_t>(vd - 1)] = w;
+            break;
+          }
+          case ExprStep::Op::kUnV: {
+            double* w = buf(vd - 1);
+            const double* l = vs[static_cast<std::size_t>(vd - 1)];
+            for (std::size_t t = 0; t < len; ++t) w[t] = rt::apply_un(rs.un_op, l[t]);
+            vs[static_cast<std::size_t>(vd - 1)] = w;
+            break;
+          }
+          default:
+            ZC_ASSERT(false);  // scalar steps were folded by the bind
+        }
+      }
+      ZC_ASSERT(vd == 1);
+      if (vs[0] != out) std::copy(vs[0], vs[0] + len, out);
+    }
+  }
+  return result;
 }
 
 // ---------------------------------------------------------------------------

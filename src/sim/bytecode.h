@@ -10,8 +10,10 @@
 //   * control flow (loops, branches, calls, comm insertion points) becomes
 //     a flat instruction array with jump targets — calls are inlined
 //     (validation guarantees no recursion), block plans are pre-resolved;
-//   * expressions become postfix stack programs over pooled buffers —
-//     no per-node allocation, operands pre-bound to array / scalar slots;
+//   * expressions become postfix stack programs evaluated row by row —
+//     array operands are read in place from storage, temporaries are one
+//     row buffer per stack depth, and the operator switch runs once per
+//     row, not once per element;
 //   * statement cost metadata (flops, arrays touched) and loop-invariant
 //     ("static") region boxes are evaluated once;
 //   * communication geometry — the point-to-point messages a CommGroup
@@ -39,8 +41,8 @@
 namespace zc::sim {
 
 // ---------------------------------------------------------------------------
-// Compiled expressions: postfix programs over a scalar stack and a bank of
-// vector buffers (one per stack depth, reused across evaluations).
+// Compiled expressions: postfix programs over a scalar stack and a vector
+// stack, evaluated one contiguous last-dimension row at a time.
 
 struct ExprStep {
   enum class Op : std::uint8_t {
@@ -50,10 +52,10 @@ struct ExprStep {
     kConfigS,    ///< push config value a
     kBinSS,      ///< scalar ⊗ scalar
     kUnS,        ///< scalar unary
-    kLoadArray,  ///< push vector: read_box(box) of array a
-    kLoadShift,  ///< push vector: read_box(box @ direction b) of array a
+    kLoadArray,  ///< push vector: array a over the box, read in place
+    kLoadShift,  ///< push vector: array a over (box @ direction b), read in place
     kLoadIndex,  ///< push vector: global index in (1-based) dimension a
-    kBinVV,      ///< vector ⊗ vector, in place into the left operand
+    kBinVV,      ///< vector ⊗ vector, into the left operand's depth
     kBinVS,      ///< vector ⊗ scalar
     kBinSV,      ///< scalar ⊗ vector
     kUnV,        ///< vector unary, in place
@@ -72,10 +74,27 @@ struct ExprProg {
   int max_vdepth = 0;   ///< vector-stack high-water mark
 };
 
+/// A vector step of an ExprProg bound to one box: scalar operands already
+/// popped, array operands located in storage, so the per-row loop does
+/// nothing but arithmetic.
+struct RowStep {
+  ExprStep::Op op = ExprStep::Op::kLoadArray;
+  zir::BinOp bin_op = zir::BinOp::kAdd;
+  zir::UnOp un_op = zir::UnOp::kNeg;
+  int dim = 0;                  ///< kLoadIndex: 0-based dimension
+  double scalar = 0.0;          ///< kBinVS / kBinSV: the scalar operand
+  const double* src = nullptr;  ///< kLoadArray / kLoadShift: first source element
+  long long stride0 = 0;        ///< source step per row of the box's dim 0 ...
+  long long stride1 = 0;        ///< ... and dim 1 (rank 3 only)
+};
+
 /// Reusable evaluation scratch shared by every ExprProg of a run.
 struct ExprScratch {
-  std::vector<std::vector<double>> vbufs;  // indexed by vector-stack depth
+  std::vector<double> result;            // the box-sized result
+  std::vector<std::vector<double>> rows;  // one row buffer per vector-stack depth >= 1
+  std::vector<const double*> vstack;     // per row: each depth's current operand
   std::vector<double> sstack;
+  std::vector<RowStep> bound;
 };
 
 /// Compiles a reduction-free value expression. Throws on Reduce nodes (the
@@ -85,7 +104,10 @@ ExprProg compile_expr(const zir::Program& program, zir::ExprId id);
 /// Evaluates `prog` over `box` for one processor's state. Returns the
 /// row-major result (box.count() elements) as a reference into `scratch`,
 /// valid until the next call. Bit-identical to Evaluator::eval_vector on
-/// the source expression, including the out-of-bounds shift error.
+/// the source expression, including the out-of-bounds shift error: every
+/// operand is bound (and every shift checked) in step order before any
+/// arithmetic runs, and the arithmetic is side-effect free, so the first
+/// failing shift throws just as it does in the tree walker.
 const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Program& program,
                                           const std::vector<rt::LocalArray>& arrays,
                                           const std::vector<double>& scalars,

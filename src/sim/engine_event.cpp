@@ -20,6 +20,7 @@
 // empties and compacts the log. DESIGN.md §13 states the full argument.
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "src/prof/prof.h"
 #include "src/sim/bytecode.h"
@@ -138,7 +139,11 @@ void Engine::ev_exec_assign(CompiledAssign& ca) {
     for (const CompiledAssign::Active& act : ca.actives) run_one(act.proc, act.local, act.cost);
     return;
   }
-  for (int proc = 0; proc < mesh_.procs(); ++proc) {
+  // A loop-variable region is evaluated afresh each time. dist_.owners is
+  // an ascending superset of the processors whose owned block meets it (as
+  // in ev_build_geometry), so the same filter visits the same processors in
+  // the same order as a 0..P-1 scan.
+  for (const int proc : dist_.owners(region)) {
     const rt::Box& owned = arrays_[proc][a].owned();
     if (owned.empty()) continue;
     const rt::Box local = region.intersect(owned);
@@ -157,7 +162,24 @@ void Engine::ev_exec_reduce(CompiledReduce& cr) {
   global.clear();
   for (const zir::ReduceOp op : cr.ops) global.push_back(rt::reduce_identity(op));
 
-  for (int proc = 0; proc < mesh_.procs(); ++proc) {
+  // Lockstep combines every processor's partial in rank order, the
+  // identity for each processor without a part of the region. Combining
+  // the identity is not always a bitwise no-op (-0.0 + 0.0 = +0.0), but it
+  // is idempotent after the first application, so one combine stands in
+  // for each run of inactive processors and only active ones are visited.
+  const auto combine_identity = [&] {
+    for (std::size_t k = 0; k < cr.ops.size(); ++k) {
+      global[k] = rt::reduce_combine(cr.ops[k], global[k], rt::reduce_identity(cr.ops[k]));
+    }
+  };
+  // dist_.owners is an ascending superset of the active processors; dims
+  // past the distribution's rank are whole on every processor.
+  rt::Box probe = region;
+  probe.rank = std::min(region.rank, dist_.space().rank);
+  const std::vector<int> candidates =
+      region.empty() ? std::vector<int>{} : dist_.owners(probe);
+  int next = 0;  // the first processor not yet combined
+  for (const int proc : candidates) {
     // Crop the owned box to the region's rank (a rank-2 reduction in a
     // rank-3 program reduces over dims 0 and 1 only) — as in lockstep.
     rt::Box owned = dist_.owned(proc);
@@ -167,15 +189,9 @@ void Engine::ev_exec_reduce(CompiledReduce& cr) {
       owned.hi[d] = region.hi[d];
     }
     const rt::Box local = region.intersect(owned);
-    if (local.empty()) {
-      // Lockstep combines the identity partial of every inactive processor;
-      // combining is not always a bitwise no-op (-0.0 + 0.0 = +0.0), so the
-      // event core combines it too.
-      for (std::size_t k = 0; k < cr.ops.size(); ++k) {
-        global[k] = rt::reduce_combine(cr.ops[k], global[k], rt::reduce_identity(cr.ops[k]));
-      }
-      continue;
-    }
+    if (local.empty()) continue;
+    if (proc > next) combine_identity();
+    next = proc + 1;
     for (std::size_t k = 0; k < cr.ops.size(); ++k) {
       const std::vector<double>& buf =
           eval_expr_prog(cr.operands[k], p_, arrays_[proc], scalars_, env_, local, ev.scratch);
@@ -189,6 +205,7 @@ void Engine::ev_exec_reduce(CompiledReduce& cr) {
                     static_cast<double>(local.count()) * cr.per_elem_cost;
     obs_.compute(proc, local, t0, clock_[proc]);
   }
+  if (next < mesh_.procs()) combine_identity();
 
   ev_materialize_all();
   allreduce_clocks(cfg_.machine.reduce_stage_overhead);
@@ -206,15 +223,18 @@ void Engine::ev_build_geometry(const CompiledGroup& cg,
                                const std::vector<rt::Box>& member_boxes, CommGeometry& geom) {
   const std::vector<int>& offsets = p_.direction(cg.group->direction).offsets;
 
-  const auto slot_for = [&geom](int src, int dst) -> CommGeometry::Msg& {
-    for (CommGeometry::Msg& m : geom.msgs) {
-      if (m.src == src && m.dst == dst) return m;
+  // Messages stay in first-seen (src, dst) order; the index only finds a
+  // pair's slot without scanning every message built so far.
+  std::unordered_map<long long, std::size_t> slot_index;
+  const auto slot_for = [&](int src, int dst) -> CommGeometry::Msg& {
+    const long long key = static_cast<long long>(src) * mesh_.procs() + dst;
+    const auto [it, inserted] = slot_index.try_emplace(key, geom.msgs.size());
+    if (inserted) {
+      geom.msgs.emplace_back();
+      geom.msgs.back().src = src;
+      geom.msgs.back().dst = dst;
     }
-    geom.msgs.emplace_back();
-    CommGeometry::Msg& m = geom.msgs.back();
-    m.src = src;
-    m.dst = dst;
-    return m;
+    return geom.msgs[it->second];
   };
 
   for (std::size_t i = 0; i < cg.members.size(); ++i) {

@@ -1,9 +1,10 @@
 // Property-based validation on randomly generated mini-ZPL programs:
 //
 //  1. Semantics: for any program, any optimization level, any heuristic,
-//     any library, the multi-processor run produces the same numbers as
-//     the single-processor reference (communication correctness), and the
-//     event and lockstep cores agree bit for bit, observers included.
+//     any library, and 3, 4 or 7 processors, the multi-processor run
+//     produces the same numbers as the single-processor reference
+//     (communication correctness), and the event and lockstep cores agree
+//     bit for bit, observers included.
 //  2. Counts: static counts are monotone (baseline >= rr >= cc), and
 //     pipelining never changes them.
 //  3. Plan well-formedness: DR <= SR <= DN <= SV, intervals legal.
@@ -33,7 +34,11 @@ using zir::ProgramBuilder;
 using zir::RegionId;
 
 /// Generates a random but always-valid stencil program. Expressions are
-/// contractive-ish (small coefficients) so numbers stay finite.
+/// contractive-ish (small coefficients) so numbers stay finite. Besides
+/// whole-interior statements it emits row and column sweeps (a `for` loop
+/// whose statement region is one line picked by the loop variable, as in
+/// tomcatv) and +<< / max<< reductions, some over a corner that only a
+/// strict subset of processors owns.
 class RandomProgram {
  public:
   explicit RandomProgram(unsigned seed) : rng_(seed) {}
@@ -58,6 +63,9 @@ class RandomProgram {
       arrays.push_back(b.array("A" + std::to_string(a), R));
     }
     const zir::ScalarId s = b.scalar("s");
+    const zir::ScalarId z = b.scalar("z");
+    const zir::ScalarId m = b.scalar("m");
+    scalars_ = {s, z, m};
 
     b.proc("main", [&] {
       // Deterministic initialization.
@@ -70,13 +78,16 @@ class RandomProgram {
       }
       const int n_stmts = 4 + static_cast<int>(rng_() % 10);
       for (int k = 0; k < n_stmts; ++k) {
-        emit_random_stmt(b, I, n, arrays, dirs, s);
+        emit_random_stmt(b, I, n, arrays, dirs);
       }
+      emit_corner_reduce(b, n, arrays, z);
+      emit_sweep(b, n, arrays, dirs, m, "i0");
       // A loop with a couple of statements, sometimes row-indexed.
       b.repeat(2, [&] {
-        emit_random_stmt(b, I, n, arrays, dirs, s);
-        emit_random_stmt(b, I, n, arrays, dirs, s);
+        emit_random_stmt(b, I, n, arrays, dirs);
+        emit_random_stmt(b, I, n, arrays, dirs);
       });
+      emit_sweep(b, n, arrays, dirs, m, "i1");
       b.sassign_over(b.spec_of(I), s,
                      b.reduce(zir::ReduceOp::kSum, b.ref(arrays[0]) + b.ref(arrays.back())));
     });
@@ -93,17 +104,24 @@ class RandomProgram {
     return b.at(a, dirs[rng_() % dirs.size()]);
   }
 
-  void emit_random_stmt(ProgramBuilder& b, RegionId I, const Ix& n,
-                        const std::vector<ArrayId>& arrays,
-                        const std::vector<DirectionId>& dirs, zir::ScalarId s) {
-    // RHS: 0.4 * lhs + sum of small-coefficient operands.
-    const ArrayId lhs = arrays[rng_() % arrays.size()];
+  /// 0.4 * lhs + a sum of small-coefficient operands, sometimes plus a
+  /// scalar the program computed.
+  Ex random_rhs(ProgramBuilder& b, ArrayId lhs, const std::vector<ArrayId>& arrays,
+                const std::vector<DirectionId>& dirs) {
     Ex rhs = b.ref(lhs) * 0.4;
     const int terms = 1 + static_cast<int>(rng_() % 4);
     for (int t = 0; t < terms; ++t) {
       rhs = rhs + random_operand(b, arrays, dirs) * coef();
     }
-    if (rng_() % 8 == 0) rhs = rhs + b.sref(s) * 0.05;
+    if (rng_() % 8 == 0) rhs = rhs + b.sref(scalars_[rng_() % scalars_.size()]) * 0.05;
+    return rhs;
+  }
+
+  void emit_random_stmt(ProgramBuilder& b, RegionId I, const Ix& n,
+                        const std::vector<ArrayId>& arrays,
+                        const std::vector<DirectionId>& dirs) {
+    const ArrayId lhs = arrays[rng_() % arrays.size()];
+    const Ex rhs = random_rhs(b, lhs, arrays, dirs);
 
     if (rng_() % 5 == 0) {
       // Row-region statement (shifts from row k±1 stay in [0, n+1]).
@@ -114,7 +132,53 @@ class RandomProgram {
     }
   }
 
+  /// A sweep over the interior's rows or columns, forward or backward, each
+  /// statement's region the single line the loop variable names; the lines
+  /// read their neighbours through shifts, so the regions and the
+  /// communication geometry depend on the loop variable. Sometimes the
+  /// line is also reduced into `m`.
+  void emit_sweep(ProgramBuilder& b, const Ix& n, const std::vector<ArrayId>& arrays,
+                  const std::vector<DirectionId>& dirs, zir::ScalarId m, const std::string& var) {
+    const bool rows = rng_() % 2 == 0;
+    const bool forward = rng_() % 2 == 0;
+    const int n_stmts = 1 + static_cast<int>(rng_() % 2);
+    const bool reduce = rng_() % 2 == 0;
+    const auto body = [&] {
+      const Ix i = b.loop_ix();
+      const zir::RegionSpec line = rows ? ProgramBuilder::spec({{i, i}, {1, n}})
+                                        : ProgramBuilder::spec({{1, n}, {i, i}});
+      for (int k = 0; k < n_stmts; ++k) {
+        const ArrayId lhs = arrays[rng_() % arrays.size()];
+        b.assign(line, lhs, random_rhs(b, lhs, arrays, dirs));
+      }
+      if (reduce) {
+        b.sassign_over(line, m, b.reduce(zir::ReduceOp::kMax, random_operand(b, arrays, dirs)));
+      }
+    };
+    if (forward) {
+      b.for_(var, 1, n, body);
+    } else {
+      b.for_(var, n, 1, body, -1);
+    }
+  }
+
+  /// A +<< or max<< whose operand is -0.0 (Index1 * -0.0 is -0.0 at every
+  /// element; an array times -0.0 mixes both zeros) over a 2x2 corner of
+  /// the interior: only a strict subset of processors owns it, so the
+  /// inactive ones around it combine identities.
+  void emit_corner_reduce(ProgramBuilder& b, const Ix& n, const std::vector<ArrayId>& arrays,
+                          zir::ScalarId z) {
+    const bool low = rng_() % 2 == 0;
+    const zir::RegionSpec corner = low ? ProgramBuilder::spec({{1, 2}, {1, 2}})
+                                       : ProgramBuilder::spec({{n - 1, n}, {n - 1, n}});
+    const zir::ReduceOp op = rng_() % 2 == 0 ? zir::ReduceOp::kSum : zir::ReduceOp::kMax;
+    const Ex operand =
+        rng_() % 2 == 0 ? b.index(1) * -0.0 : b.ref(arrays[rng_() % arrays.size()]) * -0.0;
+    b.sassign_over(corner, z, b.reduce(op, operand));
+  }
+
   std::mt19937 rng_;
+  std::vector<zir::ScalarId> scalars_;
 };
 
 sim::RunResult run_with(const zir::Program& p, const comm::OptOptions& opts, int procs,
@@ -155,32 +219,36 @@ TEST_P(RandomPrograms, AllOptimizationsPreserveSemantics) {
     variants.push_back(o);
   }
 
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    for (const auto lib : {ironman::CommLibrary::kPVM, ironman::CommLibrary::kSHMEM}) {
-      trace::Recorder event_rec(4);
-      trace::Recorder lock_rec(4);
-      tseries::SimSeries event_series(4);
-      tseries::SimSeries lock_series(4);
-      const sim::RunResult got = run_with(p, variants[v], 4, lib, sim::EngineKind::kEvent,
-                                          &event_rec, &event_series);
-      for (const auto& [name, value] : ref.checksums) {
-        ASSERT_TRUE(std::isfinite(value)) << "seed " << GetParam();
-        const double tol = 1e-9 * std::max(1.0, std::fabs(value));
-        ASSERT_NEAR(got.checksums.at(name), value, tol)
-            << "seed " << GetParam() << " variant " << v << " lib " << ironman::to_string(lib)
-            << " array " << name;
-      }
-      ASSERT_NEAR(got.scalars.at("s"), ref.scalars.at("s"),
-                  1e-9 * std::max(1.0, std::fabs(ref.scalars.at("s"))));
+  for (const int procs : {3, 4, 7}) {
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      for (const auto lib : {ironman::CommLibrary::kPVM, ironman::CommLibrary::kSHMEM}) {
+        SCOPED_TRACE("seed " + std::to_string(GetParam()) + " procs " + std::to_string(procs) +
+                     " variant " + std::to_string(v) + " lib " + ironman::to_string(lib));
+        trace::Recorder event_rec(procs);
+        trace::Recorder lock_rec(procs);
+        tseries::SimSeries event_series(procs);
+        tseries::SimSeries lock_series(procs);
+        const sim::RunResult got = run_with(p, variants[v], procs, lib,
+                                            sim::EngineKind::kEvent, &event_rec, &event_series);
+        for (const auto& [name, value] : ref.checksums) {
+          ASSERT_TRUE(std::isfinite(value));
+          const double tol = 1e-9 * std::max(1.0, std::fabs(value));
+          ASSERT_NEAR(got.checksums.at(name), value, tol) << "array " << name;
+        }
+        for (const auto& [name, value] : ref.scalars) {
+          ASSERT_TRUE(std::isfinite(value));
+          ASSERT_NEAR(got.scalars.at(name), value, 1e-9 * std::max(1.0, std::fabs(value)))
+              << "scalar " << name;
+        }
 
-      // The lockstep core agrees bit for bit, and so do both observers.
-      const sim::RunResult lock = run_with(p, variants[v], 4, lib, sim::EngineKind::kLockstep,
-                                           &lock_rec, &lock_series);
-      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " variant " + std::to_string(v) +
-                   " lib " + ironman::to_string(lib));
-      ASSERT_EQ(exec::result_checksum(lock), exec::result_checksum(got));
-      ASSERT_EQ(trace::compute_stats(lock_rec).to_csv(), trace::compute_stats(event_rec).to_csv());
-      ASSERT_EQ(lock_series.to_csv(), event_series.to_csv());
+        // The lockstep core agrees bit for bit, and so do both observers.
+        const sim::RunResult lock = run_with(p, variants[v], procs, lib,
+                                             sim::EngineKind::kLockstep, &lock_rec, &lock_series);
+        ASSERT_EQ(exec::result_checksum(lock), exec::result_checksum(got));
+        ASSERT_EQ(trace::compute_stats(lock_rec).to_csv(),
+                  trace::compute_stats(event_rec).to_csv());
+        ASSERT_EQ(lock_series.to_csv(), event_series.to_csv());
+      }
     }
   }
 }

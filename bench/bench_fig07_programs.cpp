@@ -4,12 +4,9 @@
 // interprets ZIR directly rather than emitting C).
 #include <iostream>
 #include <memory>
-#include <vector>
 
 #include "bench/common.h"
 #include "src/comm/optimizer.h"
-#include "src/exec/plan_cache.h"
-#include "src/exec/pool.h"
 #include "src/support/str.h"
 #include "src/support/table.h"
 
@@ -22,23 +19,11 @@ int main(int argc, char** argv) {
            "procedures", "baseline comms"});
   t.set_align(1, Align::kLeft);
 
-  // Fan the per-program baseline planning across the pool; each program
-  // parses once (bench::parsed_program) and its plan memoizes in the
-  // process-wide cache. Rows collect by submission slot, so the table is
-  // identical at any --jobs value.
-  const auto& suite = programs::benchmark_suite();
-  std::vector<std::shared_ptr<const zir::Program>> parsed(suite.size());
-  std::vector<std::shared_ptr<const comm::CommPlan>> plans(suite.size());
-  exec::ThreadPool pool(options.jobs == 0 ? exec::ThreadPool::hardware_jobs() : options.jobs);
-  pool.run(suite.size(), [&](std::size_t i) {
-    parsed[i] = bench::parsed_program(suite[i]);
-    plans[i] = exec::PlanCache::process().get_or_plan(
-        *parsed[i], comm::OptOptions::for_level(comm::OptLevel::kBaseline));
-  });
-
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const auto& info = suite[i];
-    const zir::Program& p = *parsed[i];
+  for (const programs::BenchmarkInfo& info : programs::benchmark_suite()) {
+    const std::shared_ptr<const zir::Program> parsed = bench::parsed_program(info);
+    const zir::Program& p = *parsed;
+    const comm::CommPlan plan =
+        comm::plan_communication(p, comm::OptOptions::for_level(comm::OptLevel::kBaseline));
     long long lines = 0;
     for (char ch : info.source) lines += ch == '\n' ? 1 : 0;
     RowBuilder rb;
@@ -48,7 +33,7 @@ int main(int argc, char** argv) {
         .cell(static_cast<long long>(p.stmt_count()))
         .cell(static_cast<long long>(p.array_count()))
         .cell(static_cast<long long>(p.proc_count()))
-        .cell(static_cast<long long>(plans[i]->static_count()));
+        .cell(static_cast<long long>(plan.static_count()));
     t.add_row(std::move(rb).build());
   }
   std::cout << t.to_string() << "\n";

@@ -70,8 +70,8 @@ std::string scale_label(const programs::BenchmarkInfo& info, const Options& opti
 
 std::shared_ptr<const zir::Program> parsed_program(const programs::BenchmarkInfo& info) {
   // Parse-once cache: every figure/table in a binary (and every option set
-  // within it) shares one immutable program per benchmark. Mutex-guarded:
-  // harnesses call this from sweep-pool workers too.
+  // within it) shares one immutable program per benchmark. Mutex-guarded,
+  // so any thread may call it.
   static std::mutex mu;
   static std::map<std::string, std::shared_ptr<const zir::Program>> programs;
   const std::lock_guard<std::mutex> lk(mu);
@@ -98,8 +98,8 @@ std::vector<Row> run_experiments(const programs::BenchmarkInfo& info,
   };
 
   // Fan the uncached grid rows out through the sweep scheduler (serial when
-  // --jobs=1); plans memoize in the process-wide cache, so e.g. "pl" and
-  // "pl with shmem" optimize once between them.
+  // --jobs=1); its plan cache lets e.g. "pl" and "pl with shmem" optimize
+  // once between them.
   std::vector<std::string> missing;
   for (const std::string& name : experiment_names) {
     if (cache.count(key_for(name)) != 0) continue;

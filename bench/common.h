@@ -56,8 +56,8 @@ struct Row {
 };
 
 /// Runs the named paper experiments (Figure 9 keys) for one benchmark
-/// through the sweep scheduler (options.jobs workers; plans memoized in the
-/// process-wide PlanCache). Results are cached per (benchmark, experiment)
+/// through the sweep scheduler (options.jobs workers; each call plans every
+/// distinct option set once). Results are cached per (benchmark, experiment)
 /// within the process, and the source parses once per benchmark no matter
 /// how many figures run it.
 std::vector<Row> run_experiments(const programs::BenchmarkInfo& info,

@@ -193,15 +193,13 @@ struct TraceOptions {
       "                               Any N produces bit-identical results\n"
       "  --timeline[=<windows>]       windowed time-series telemetry (default\n"
       "                               64 windows, bounded memory at any run\n"
-      "                               length). Experiments: per-processor\n"
-      "                               utilization heatmap over simulated time\n"
+      "                               length): per-processor utilization\n"
+      "                               heatmap over simulated time\n"
       "                               (cpu/wait/wire/compute/barrier; totals\n"
       "                               reconcile exactly with --trace-stats).\n"
-      "                               With --sweep: per-worker busy/steal/\n"
-      "                               latency series plus live progress on\n"
-      "                               stderr\n"
+      "                               Experiments mode only: --sweep rejects\n"
+      "                               it and the two exports below\n"
       "  --timeline-csv <out.csv>     write the windowed series as CSV\n"
-      "                               (experiments mode)\n"
       "  --timeline-json <out.json>   write the windowed series as JSON\n";
   std::exit(code);
 }
@@ -247,6 +245,12 @@ void print_sweep_usage() {
 
 int run_sweep_mode(const TraceOptions& opt, zc::prof::Profiler* profiler) {
   using namespace zc;
+
+  if (opt.timeline_requested()) {
+    std::cerr << "--timeline, --timeline-csv and --timeline-json apply to experiments mode, "
+                 "not --sweep\n";
+    return 1;
+  }
 
   // Parse the grid spec: ';'-separated key=v1,v2 lists.
   std::vector<std::string> benches{opt.bench};
@@ -352,27 +356,11 @@ int run_sweep_mode(const TraceOptions& opt, zc::prof::Profiler* profiler) {
     }
   }
 
-  if (!opt.timeline_csv_path.empty()) {
-    std::cerr << "--timeline-csv applies to experiments mode, not --sweep "
-                 "(use --timeline-json)\n";
-    return 1;
-  }
-
   exec::PlanCache cache;  // per-invocation, so the summary's stats are this sweep's
   exec::SweepOptions sopts;
   sopts.jobs = opt.jobs;
   sopts.plan_cache = &cache;
   sopts.host_profiler = profiler;
-  std::unique_ptr<tseries::WallSeries> telemetry;
-  if (opt.timeline_requested()) {
-    telemetry = exec::make_sweep_series(opt.jobs, opt.timeline_windows);
-    sopts.telemetry = telemetry.get();
-    // Live progress on stderr: stdout stays bit-identical across schedules
-    // (the sweep determinism contract), completion order does not.
-    sopts.progress = [](std::size_t done, std::size_t total) {
-      std::cerr << "sweep: " << done << "/" << total << " done\n";
-    };
-  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   const std::vector<exec::SweepResult> results = exec::run_sweep(items, sopts);
@@ -393,18 +381,11 @@ int run_sweep_mode(const TraceOptions& opt, zc::prof::Profiler* profiler) {
   }
 
   const exec::PlanCacheStats cs = cache.stats();
-  const int jobs = sopts.jobs == 0 ? exec::ThreadPool::hardware_jobs() : sopts.jobs;
+  const int jobs = sopts.jobs == 0 ? exec::hardware_jobs() : sopts.jobs;
   std::cout << "sweep: " << results.size() << " runs, " << jobs << " job"
             << (jobs == 1 ? "" : "s") << ", " << wall << " s wall; programs parsed: "
             << parsed.size() << "; plan cache: " << cs.hits << " hits, " << cs.misses
             << " misses (hit rate " << cs.hit_rate() << ")\n";
-  if (telemetry != nullptr) {
-    if (opt.timeline) std::cout << tseries::sweep_summary(*telemetry);
-    if (!opt.timeline_json_path.empty()) {
-      io::write_text_file(opt.timeline_json_path, telemetry->to_json().dump() + "\n");
-      std::cout << "wrote sweep timeline JSON: " << opt.timeline_json_path << "\n";
-    }
-  }
   if (opt.print_metrics) std::cout << metrics::Registry::global().to_text();
   return failures == 0 ? 0 : 1;
 }

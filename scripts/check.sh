@@ -15,13 +15,17 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j
 
-# Exercise the parallel sweep path explicitly (beyond the smoke-labelled
-# sweep tests): a two-worker grid through the scheduler + plan cache must
-# come back clean, with the per-worker timeline summary on.
-"$BUILD_DIR"/examples/comm_explorer \
-  --sweep "bench=figure1;experiment=all;procs=4" --jobs 2 --timeline 2>/dev/null \
-  | grep -q 'worker 0' \
-  || { echo "check: FAILED — sweep timeline summary missing"; exit 1; }
+# Sweep determinism at the CLI: the same grid at --jobs 1 and --jobs 2 must
+# print the same rows and plan-cache totals. Only the summary line's job
+# count and wall time may differ, so that line is dropped before the diff.
+sweep_rows() {
+  "$BUILD_DIR"/examples/comm_explorer \
+    --sweep "bench=figure1;experiment=all;procs=4" --jobs "$1" | grep -v ' s wall; '
+}
+serial="$(sweep_rows 1)" && parallel="$(sweep_rows 2)" \
+  || { echo "check: FAILED — sweep exited non-zero"; exit 1; }
+diff <(echo "$serial") <(echo "$parallel") \
+  || { echo "check: FAILED — --jobs 2 sweep output differs from --jobs 1"; exit 1; }
 
 # Timeline heatmap end to end: a traced run with the windowed telemetry
 # sink attached must print conserved channel totals.
@@ -79,4 +83,4 @@ if "$BUILD_DIR"/examples/zcomm_bench check --archive="$ARC" --scale=2 \
 fi
 rm -rf "$ARC_DIR"
 
-echo "check: smoke tier + --jobs 2 sweep + timeline + 1024-proc scale + archive record/trend/check OK"
+echo "check: smoke tier + --jobs 1 vs 2 sweep diff + timeline + 1024-proc scale + archive record/trend/check OK"

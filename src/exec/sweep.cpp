@@ -5,47 +5,18 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
-#include <mutex>
 #include <optional>
+#include <string>
+#include <thread>
 
 #include "src/prof/prof.h"
-#include "src/support/check.h"
+#include "src/support/diag.h"
+#include "src/support/metrics.h"
+#include "src/trace/recorder.h"
 
 namespace zc::exec {
 
 namespace {
-
-/// Resolved channel indices of a sweep telemetry sink (-1 = channel absent;
-/// resolution by name keeps WallSeries generic).
-struct TelemetryChannels {
-  int busy = -1;
-  int tasks = -1;
-  int latency = -1;
-  int own_pop = -1;
-  int steal = -1;
-  int cache_hit = -1;
-  int cache_miss = -1;
-};
-
-int channel_index(const std::vector<std::string>& names, const std::string& name) {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-TelemetryChannels resolve_channels(const tseries::WallSeries& series) {
-  const std::vector<std::string>& names = series.channel_names();
-  TelemetryChannels ch;
-  ch.busy = channel_index(names, "busy");
-  ch.tasks = channel_index(names, "tasks");
-  ch.latency = channel_index(names, "latency");
-  ch.own_pop = channel_index(names, "own_pop");
-  ch.steal = channel_index(names, "steal");
-  ch.cache_hit = channel_index(names, "cache_hit");
-  ch.cache_miss = channel_index(names, "cache_miss");
-  return ch;
-}
 
 std::uint64_t bits_of(double v) {
   std::uint64_t u = 0;
@@ -95,46 +66,32 @@ std::uint64_t result_checksum(const sim::RunResult& result) {
   return h;
 }
 
-std::unique_ptr<tseries::WallSeries> make_sweep_series(int jobs, int window_count) {
-  const int rows = std::max(1, jobs == 0 ? ThreadPool::hardware_jobs() : jobs);
-  return std::make_unique<tseries::WallSeries>(
-      rows,
-      std::vector<std::string>{"busy", "tasks", "latency", "own_pop", "steal", "cache_hit",
-                               "cache_miss"},
-      window_count);
-}
+int hardware_jobs() { return std::max(1, static_cast<int>(std::thread::hardware_concurrency())); }
 
 std::vector<SweepResult> run_sweep(const std::vector<SweepItem>& items,
                                    const SweepOptions& options) {
-  PlanCache& cache = options.plan_cache != nullptr ? *options.plan_cache : PlanCache::process();
-  const int jobs = options.jobs == 0 ? ThreadPool::hardware_jobs() : options.jobs;
+  if (options.jobs < 0) {
+    throw Error("run_sweep: jobs must be >= 0, got " + std::to_string(options.jobs));
+  }
+  const std::size_t jobs =
+      static_cast<std::size_t>(options.jobs == 0 ? hardware_jobs() : options.jobs);
+  PlanCache local_cache;
+  PlanCache& cache = options.plan_cache != nullptr ? *options.plan_cache : local_cache;
 
   std::vector<SweepResult> results(items.size());
-
-  tseries::WallSeries* const telemetry = options.telemetry;
-  TelemetryChannels channels;
-  if (telemetry != nullptr) {
-    ZC_ASSERT(telemetry->rows() >= std::max(1, jobs));
-    channels = resolve_channels(*telemetry);
-  }
-  std::atomic<std::size_t> finished{0};
-  std::mutex progress_mu;
+  std::vector<metrics::Registry> registries(items.size());
 
   const auto task = [&](std::size_t i) {
     const SweepItem& item = items[i];
     SweepResult& out = results[i];  // submission slot: no cross-task writes
-    out.registry = std::make_shared<metrics::Registry>();
-    const metrics::ScopedRegistry scoped(*out.registry);
-    // The pool wraps each context's epoch drain in a profiler attach + a
-    // pool/worker/<i> span (set_profiler below), so pool-run tasks nest
-    // their spans there. Attach here only on spanless paths — the jobs == 1
-    // inline loop — and never with nullptr: prof::Attach(nullptr) would
-    // *detach* a profiler the calling thread already carries.
+    const metrics::ScopedRegistry scoped(registries[i]);
+    // Worker threads start detached from any profiler; the calling thread
+    // may already carry one. Attach only where none is, and never with
+    // nullptr: prof::Attach(nullptr) would *detach* the caller's profiler.
     std::optional<prof::Attach> attach;
     if (options.host_profiler != nullptr && !prof::enabled()) {
       attach.emplace(options.host_profiler);
     }
-    const double tel_begin = telemetry != nullptr ? telemetry->now() : 0.0;
     const auto wall_start = std::chrono::steady_clock::now();
     try {
       if (item.program == nullptr) throw Error("sweep item '" + item.label + "' has no program");
@@ -146,7 +103,7 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepItem>& items,
       config.config_overrides = item.config_overrides;
       std::unique_ptr<trace::Recorder> recorder;
       if (item.trace) {
-        recorder = std::make_unique<trace::Recorder>(item.procs, options.recorder_options);
+        recorder = std::make_unique<trace::Recorder>(item.procs);
         config.recorder = recorder.get();
       }
       out.metrics = driver::run_planned(*item.program, *out.plan, item.experiment,
@@ -154,55 +111,30 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepItem>& items,
       out.ok = true;
     } catch (const std::exception& e) {
       out.error = e.what();
+    } catch (...) {
+      out.error = "sweep item '" + item.label + "' threw a non-standard exception";
     }
     out.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-    if (telemetry != nullptr) {
-      // Row = execution context; the inline path (current_context() == -1)
-      // maps to row 0. All writes go through WallSeries' lock.
-      const double tel_end = telemetry->now();
-      const int row = std::max(0, ThreadPool::current_context());
-      if (channels.busy >= 0) telemetry->add_span(row, channels.busy, tel_begin, tel_end);
-      if (channels.tasks >= 0) telemetry->add_at(row, channels.tasks, tel_end, 1.0);
-      if (channels.latency >= 0) {
-        telemetry->add_at(row, channels.latency, tel_end, out.wall_seconds);
-      }
-      const int pop_channel =
-          ThreadPool::current_task_stolen() ? channels.steal : channels.own_pop;
-      if (pop_channel >= 0) telemetry->add_at(row, pop_channel, tel_end, 1.0);
-      const long long hits = out.registry->counter("exec.plan_cache.hits");
-      const long long misses = out.registry->counter("exec.plan_cache.misses");
-      if (channels.cache_hit >= 0 && hits > 0) {
-        telemetry->add_at(row, channels.cache_hit, tel_end, static_cast<double>(hits));
-      }
-      if (channels.cache_miss >= 0 && misses > 0) {
-        telemetry->add_at(row, channels.cache_miss, tel_end, static_cast<double>(misses));
-      }
-    }
-    if (options.progress) {
-      const std::size_t done = finished.fetch_add(1, std::memory_order_relaxed) + 1;
-      const std::lock_guard<std::mutex> lk(progress_mu);
-      options.progress(done, items.size());
-    }
   };
 
-  if (jobs == 1) {
-    // Inline serial path — identical to ThreadPool(1) but with zero pool
-    // setup, and the baseline every parallel schedule is compared against.
-    for (std::size_t i = 0; i < items.size(); ++i) task(i);
-  } else {
-    ThreadPool pool(jobs);
-    pool.set_profiler(options.host_profiler);
-    pool.run(items.size(), task);
+  // Fork/join: the caller and up to jobs-1 threads claim item indices from
+  // one counter until none are left. With jobs == 1 no thread starts and the
+  // caller runs every item in submission order: the serial baseline every
+  // parallel schedule is compared against. The jthreads join at scope exit,
+  // also when starting one throws.
+  std::atomic<std::size_t> next{0};
+  const auto claim = [&] {
+    for (std::size_t i = next++; i < items.size(); i = next++) task(i);
+  };
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t w = 1; w < std::min(jobs, items.size()); ++w) workers.emplace_back(claim);
+    claim();
   }
 
-  if (options.merge_metrics) {
-    metrics::Registry& sink = metrics::Registry::current();
-    for (const SweepResult& r : results) {
-      if (r.registry != nullptr) sink.merge_from(*r.registry);
-    }
-  }
+  metrics::Registry& sink = metrics::Registry::current();
+  for (const metrics::Registry& r : registries) sink.merge_from(r);
   return results;
 }
 

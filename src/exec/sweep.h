@@ -1,7 +1,7 @@
 // The sweep engine: runs a grid of independent pipeline configurations
-// (program x experiment x procs x overrides) across a work-stealing thread
-// pool (src/exec/pool.h), memoizing communication plans in a PlanCache so
-// each distinct (program, options) pair is optimized exactly once.
+// (program x experiment x procs x overrides) on `jobs` threads, memoizing
+// communication plans in a PlanCache so each distinct (program, options,
+// machine) is optimized exactly once.
 //
 // Determinism contract (what the stress test pins):
 //   - Results are collected into a vector slotted by submission index —
@@ -18,7 +18,7 @@
 //     produce bit-identical checksums, plans, and trace Stats against it.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,10 +26,6 @@
 
 #include "src/driver/driver.h"
 #include "src/exec/plan_cache.h"
-#include "src/exec/pool.h"
-#include "src/support/metrics.h"
-#include "src/trace/recorder.h"
-#include "src/tseries/tseries.h"
 
 namespace zc::prof {
 class Profiler;
@@ -59,52 +55,27 @@ struct SweepResult {
   /// The shared cached plan this run executed (also copied inside
   /// metrics.plan, as for a serial driver run).
   std::shared_ptr<const comm::CommPlan> plan;
-  /// The task's private metrics registry (also merged into the submitter's
-  /// current() at join, in submission order).
-  std::shared_ptr<metrics::Registry> registry;
   double wall_seconds = 0.0;  ///< host wall time of this task's plan+run
 };
 
 struct SweepOptions {
-  /// Execution contexts (caller + jobs-1 workers). 1 = inline serial.
-  /// 0 = ThreadPool::hardware_jobs().
+  /// Threads running items (the caller + jobs-1 workers). 1 = inline
+  /// serial. 0 = hardware_jobs(). Negative throws zc::Error.
   int jobs = 1;
-  /// Plan memoization cache; nullptr = PlanCache::process().
+  /// Plan memoization cache; nullptr = a cache local to the run_sweep call.
   PlanCache* plan_cache = nullptr;
   /// Optional host profiler: each task attaches to it for its duration so
   /// worker spans land in the merged profile tree.
   prof::Profiler* host_profiler = nullptr;
-  /// Recorder sizing for items with trace = true.
-  trace::RecorderOptions recorder_options;
-  /// Merge each task's registry into the submitter's Registry::current()
-  /// at join (submission order). Off only for callers that inspect
-  /// per-result registries themselves.
-  bool merge_metrics = true;
-  /// Optional per-worker wall-clock telemetry sink (see make_sweep_series;
-  /// rows must cover the resolved jobs count). Each task adds its busy span
-  /// plus tasks / latency / own_pop-or-steal / cache_hit-or-miss point
-  /// samples at completion. nullptr = off, no per-task telemetry work.
-  /// Telemetry never feeds back into results: checksums, plans, and merged
-  /// metrics stay bit-identical with it on or off.
-  tseries::WallSeries* telemetry = nullptr;
-  /// Called after each task completes with (finished, total), serialized by
-  /// an internal mutex (safe to print from). Invocation order is
-  /// scheduling-dependent — progress output must go to stderr, never to a
-  /// determinism-pinned stream.
-  std::function<void(std::size_t done, std::size_t total)> progress;
 };
 
-/// Builds the WallSeries a sweep feeds: one row per execution context
-/// (max(1, jobs) — the jobs == 1 inline path maps to row 0) and the
-/// channels {"busy", "tasks", "latency", "own_pop", "steal", "cache_hit",
-/// "cache_miss"}. busy is seconds-in-task (utilization = busy / width),
-/// tasks / own_pop / steal / cache_* are counts, latency is summed task
-/// wall seconds (mean = latency / tasks).
-std::unique_ptr<tseries::WallSeries> make_sweep_series(int jobs, int window_count = 64);
+/// The machine's hardware concurrency, clamped to >= 1 — what jobs == 0
+/// resolves to.
+[[nodiscard]] int hardware_jobs();
 
 /// Runs every item and returns results in submission order. Item failures
-/// are reported per-result (ok = false), never thrown; only pool-level
-/// failures throw.
+/// are reported per-result (ok = false), never thrown; only a negative
+/// jobs count or a failure to start a thread throws.
 std::vector<SweepResult> run_sweep(const std::vector<SweepItem>& items,
                                    const SweepOptions& options = {});
 

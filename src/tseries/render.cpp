@@ -16,27 +16,11 @@ char glyph(double fraction) {
   return kRamp[step];
 }
 
-std::string fixed(double v, int digits = 3) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(digits);
-  os << v;
-  return os.str();
-}
-
 std::string sci(double v) {
   std::ostringstream os;
   os.precision(3);
   os << v;
   return os.str();
-}
-
-int channel_index(const WallSeries& s, const std::string& name) {
-  const auto& names = s.channel_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 }  // namespace
@@ -75,50 +59,6 @@ std::string heatmap(const SimSeries& s, const std::string& title) {
         << sci(s.total(static_cast<SimSeries::Channel>(c)));
   }
   out << "\n";
-  return out.str();
-}
-
-std::string sweep_summary(const WallSeries& s) {
-  std::ostringstream out;
-  const int used = s.used_windows();
-  const double w = s.window_width();
-  const int busy = channel_index(s, "busy");
-  const int tasks = channel_index(s, "tasks");
-  const int latency = channel_index(s, "latency");
-  const int own = channel_index(s, "own_pop");
-  const int steal = channel_index(s, "steal");
-  const int hit = channel_index(s, "cache_hit");
-  const int miss = channel_index(s, "cache_miss");
-  out << "sweep timeline: " << s.rows() << " worker" << (s.rows() == 1 ? "" : "s") << ", "
-      << used << " window" << (used == 1 ? "" : "s") << " x " << sci(w) << " s\n";
-  for (int r = 0; r < s.rows(); ++r) {
-    const double row_tasks = tasks >= 0 ? s.row_total(r, tasks) : 0.0;
-    const double row_busy = busy >= 0 ? s.row_total(r, busy) : 0.0;
-    const double denom = std::max(s.duration(), w);
-    out << "  worker " << r << ": busy " << fixed(100.0 * row_busy / denom, 1) << "% |";
-    if (busy >= 0) {
-      for (int i = 0; i < used; ++i) out << glyph(s.value(r, busy, i) / w);
-    }
-    out << "| tasks " << static_cast<long long>(row_tasks);
-    if (own >= 0 && steal >= 0) {
-      out << " (own " << static_cast<long long>(s.row_total(r, own)) << ", stolen "
-          << static_cast<long long>(s.row_total(r, steal)) << ")";
-    }
-    if (latency >= 0 && row_tasks > 0.0) {
-      out << ", mean latency " << fixed(1e3 * s.row_total(r, latency) / row_tasks, 2)
-          << " ms";
-    }
-    out << "\n";
-  }
-  if (hit >= 0 && miss >= 0) {
-    const double hits = s.channel_total(hit);
-    const double lookups = hits + s.channel_total(miss);
-    if (lookups > 0.0) {
-      out << "  plan cache: " << static_cast<long long>(hits) << "/"
-          << static_cast<long long>(lookups) << " hits (rate "
-          << fixed(hits / lookups, 3) << ")\n";
-    }
-  }
   return out.str();
 }
 

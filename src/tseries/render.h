@@ -1,7 +1,6 @@
-// Terminal renderings of the windowed series: the per-processor utilization
-// heatmap behind `comm_explorer --timeline` and the per-worker summary
-// behind `--sweep ... --timeline`. Pure formatting — every number shown is
-// an accessor away on the series itself.
+// Terminal rendering of the windowed series: the per-processor utilization
+// heatmap behind `comm_explorer --timeline`. Pure formatting — every number
+// shown is an accessor away on the series itself.
 #pragma once
 
 #include <string>
@@ -16,11 +15,5 @@ namespace zc::tseries {
 /// exposed wire time and the conserved channel totals. `title` labels the
 /// run (e.g. "tomcatv/pl, 16 procs").
 [[nodiscard]] std::string heatmap(const SimSeries& series, const std::string& title);
-
-/// Per-row (worker) summary of a WallSeries built with the sweep channel
-/// layout (see exec::make_sweep_series): busy share, task count, own-pop vs
-/// steal split, mean task latency, plan-cache hit rate, plus a per-window
-/// busy sparkline per worker.
-[[nodiscard]] std::string sweep_summary(const WallSeries& series);
 
 }  // namespace zc::tseries

@@ -178,81 +178,4 @@ std::string SimSeries::to_csv() const {
   return csv.to_string();
 }
 
-// ---- WallSeries -----------------------------------------------------------
-
-WallSeries::WallSeries(int rows, std::vector<std::string> channel_names, int window_count,
-                       double initial_width)
-    : names_(std::move(channel_names)),
-      windows_(rows, static_cast<int>(names_.size()), window_count, initial_width) {}
-
-double WallSeries::now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - origin_).count();
-}
-
-void WallSeries::add_span(int row, int channel, double t0, double t1) {
-  const std::lock_guard<std::mutex> lk(mu_);
-  windows_.add_span(row, channel, t0, t1);
-}
-
-void WallSeries::add_at(int row, int channel, double t, double value) {
-  const std::lock_guard<std::mutex> lk(mu_);
-  windows_.add_at(row, channel, t, value);
-}
-
-int WallSeries::rows() const { return windows_.rows(); }
-
-double WallSeries::channel_total(int channel) const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return windows_.channel_total(channel);
-}
-
-double WallSeries::row_total(int row, int channel) const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return windows_.row_total(row, channel);
-}
-
-double WallSeries::window_width() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return windows_.window_width();
-}
-
-double WallSeries::duration() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return windows_.duration();
-}
-
-int WallSeries::used_windows() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return windows_.used_windows();
-}
-
-double WallSeries::value(int row, int channel, int window) const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return windows_.value(row, channel, window);
-}
-
-json::Value WallSeries::to_json() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  json::Value v = json::Value::make_object();
-  v["kind"] = json::Value::make_str("zc-wall-timeline");
-  v["rows"] = json::Value::make_int(windows_.rows());
-  v["window_count"] = json::Value::make_int(windows_.window_count());
-  v["window_width"] = json::Value::make_num(windows_.window_width());
-  v["duration"] = json::Value::make_num(windows_.duration());
-  const int used = windows_.used_windows();
-  v["used_windows"] = json::Value::make_int(used);
-  json::Value channels = json::Value::make_object();
-  for (int c = 0; c < windows_.channels(); ++c) {
-    json::Value per_row = json::Value::make_array();
-    for (int r = 0; r < windows_.rows(); ++r) {
-      json::Value row = json::Value::make_array();
-      for (int w = 0; w < used; ++w) row.push_back(json::Value::make_num(windows_.value(r, c, w)));
-      per_row.push_back(std::move(row));
-    }
-    channels[names_[static_cast<std::size_t>(c)]] = std::move(per_row);
-  }
-  v["channels"] = std::move(channels);
-  return v;
-}
-
 }  // namespace zc::tseries

@@ -12,15 +12,11 @@
 // That is the shape the ROADMAP's 4096-processor engine rewrite needs:
 // utilization-over-time at any scale, never an event log.
 //
-// Two producers feed it:
-//   SimSeries   per-simulated-processor CPU / wait / wire / compute /
-//               barrier seconds over simulated time, the second field of
-//               the simulator's observer seam (sim::Observers, beside
-//               trace::Recorder), so it is fed by the very hook calls that
-//               feed the recorder (zero overhead when null; never changes
-//               timing or numerics — golden-checked).
-//   WallSeries  thread-safe wall-clock windows: per-worker sweep telemetry
-//               (src/exec/sweep).
+// One producer feeds it: SimSeries, per-simulated-processor CPU / wait /
+// wire / compute / barrier seconds over simulated time, the second field of
+// the simulator's observer seam (sim::Observers, beside trace::Recorder).
+// It is fed by the very hook calls that feed the recorder (zero overhead
+// when null; never changes timing or numerics — golden-checked).
 //
 // Unknown total duration is handled by folding: when a sample lands past
 // the last window, the window width doubles and adjacent window pairs merge
@@ -28,8 +24,6 @@
 // grows, the resolution adapts.
 #pragma once
 
-#include <chrono>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,10 +31,9 @@
 
 namespace zc::tseries {
 
-/// The folding accumulator grid shared by both series types: `rows` x
-/// `channels` x `window_count` doubles, windows covering
-/// [0, window_count * window_width). Not thread-safe (WallSeries adds the
-/// lock). Seconds are *spread* across windows proportionally to overlap, so
+/// The folding accumulator grid behind SimSeries: `rows` x `channels` x
+/// `window_count` doubles, windows covering [0, window_count *
+/// window_width). Not thread-safe. Seconds are *spread* across windows proportionally to overlap, so
 /// channel totals are conserved under both spreading and folding.
 class Windows {
  public:
@@ -153,44 +146,6 @@ class SimSeries {
   [[nodiscard]] std::string to_csv() const;
 
  private:
-  Windows windows_;
-};
-
-/// Host-side producer: wall-clock windows written concurrently by worker
-/// threads (one mutex — producers are task-grained, never hot).
-/// Rows are whatever the caller shards by (sweep: worker contexts);
-/// channels are named at construction.
-class WallSeries {
- public:
-  WallSeries(int rows, std::vector<std::string> channel_names, int window_count = 64,
-             double initial_width = 0.25);
-
-  /// Seconds since construction on the steady clock — the time base every
-  /// add expects.
-  [[nodiscard]] double now() const;
-
-  void add_span(int row, int channel, double t0, double t1);
-  void add_at(int row, int channel, double t, double value);
-
-  [[nodiscard]] int rows() const;
-  [[nodiscard]] const std::vector<std::string>& channel_names() const { return names_; }
-
-  /// Snapshot under the lock: {"kind":"zc-wall-timeline", rows,
-  /// window_count, window_width, duration, channels: {name: [row][window]}}.
-  [[nodiscard]] json::Value to_json() const;
-  /// Conserved total of one channel across all rows and windows.
-  [[nodiscard]] double channel_total(int channel) const;
-  /// One row's total for one channel.
-  [[nodiscard]] double row_total(int row, int channel) const;
-  [[nodiscard]] double window_width() const;
-  [[nodiscard]] double duration() const;
-  [[nodiscard]] int used_windows() const;
-  [[nodiscard]] double value(int row, int channel, int window) const;
-
- private:
-  const std::chrono::steady_clock::time_point origin_ = std::chrono::steady_clock::now();
-  std::vector<std::string> names_;
-  mutable std::mutex mu_;
   Windows windows_;
 };
 

@@ -1,20 +1,20 @@
-// Unit tests for the sweep execution substrate (src/exec): the
-// work-stealing thread pool's fork/join and determinism contracts, the plan
-// memoization cache (keying, collisions, concurrency, metrics counters), and
-// the thread-local metrics registry redirect + merge the sweep engine's
-// deterministic accounting rests on.
+// Unit tests for the sweep execution substrate (src/exec): run_sweep's
+// parallel fork/join (submission slots, per-item failures, the jobs
+// contract), the plan memoization cache (keying, concurrency, metrics
+// counters), and the thread-local metrics registry redirect + merge the
+// sweep engine's deterministic accounting rests on.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/comm/optimizer.h"
 #include "src/exec/plan_cache.h"
-#include "src/exec/pool.h"
 #include "src/exec/sweep.h"
 #include "src/parser/parser.h"
+#include "src/programs/programs.h"
 #include "src/report/passlog.h"
 #include "src/support/diag.h"
 #include "src/support/metrics.h"
@@ -35,28 +35,7 @@ procedure main() {
 }
 )";
 
-// Same token stream as kProgram, different whitespace and source offsets —
-// structurally identical, so it must share kProgram's cache entry.
-constexpr std::string_view kProgramReformatted = R"(
-program cachetest;
-
-config n : integer = 8;
-
-region R = [1..n, 1..n];
-direction east = [0, 1];
-
-var A, B, C : [R] double;
-
-procedure main() {
-  [R] B := Index1 * 0.5;
-
-  [R] A := B@east;
-  [R] C := B@east;
-}
-)";
-
-// Different program text (an extra statement): must key separately even
-// when the bucket hash collides.
+// Different program text (an extra statement): its own cache entries.
 constexpr std::string_view kOtherProgram = R"(
 program cachetest;
 config n : integer = 8;
@@ -70,105 +49,6 @@ procedure main() {
   [R] C := A@east;
 }
 )";
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  for (const int jobs : {1, 2, 4, 8}) {
-    ThreadPool pool(jobs);
-    constexpr std::size_t kN = 100;
-    std::vector<std::atomic<int>> hits(kN);
-    pool.run(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " with jobs=" << jobs;
-    }
-  }
-}
-
-TEST(ThreadPool, JobsOneRunsInlineInSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<std::size_t> order;
-  pool.run(10, [&](std::size_t i) { order.push_back(i); });  // no lock: inline
-  ASSERT_EQ(order.size(), 10u);
-  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, RejectsZeroJobs) { EXPECT_THROW(ThreadPool(0), Error); }
-
-TEST(ThreadPool, RethrowsLowestIndexFailure) {
-  ThreadPool pool(4);
-  // Two failing tasks; the lowest submission index must win regardless of
-  // completion order.
-  try {
-    pool.run(50, [&](std::size_t i) {
-      if (i == 7 || i == 31) throw Error("task " + std::to_string(i));
-    });
-    FAIL() << "expected a rethrow";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "task 7");
-  }
-}
-
-TEST(ThreadPool, SurvivesFailuresAndRunsEverythingElse) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  EXPECT_THROW(pool.run(64,
-                        [&](std::size_t i) {
-                          hits[i].fetch_add(1);
-                          if (i % 9 == 0) throw Error("boom");
-                        }),
-               Error);
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-  // The pool stays usable after a failing epoch.
-  std::atomic<int> ok{0};
-  pool.run(8, [&](std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 8);
-}
-
-TEST(ThreadPool, ReusableAcrossEpochs) {
-  ThreadPool pool(3);
-  for (int epoch = 0; epoch < 20; ++epoch) {
-    std::atomic<int> count{0};
-    pool.run(17, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 17);
-  }
-}
-
-TEST(ThreadPool, CountersAccountForEveryTaskAndPublishToTheRegistry) {
-  metrics::Registry reg;
-  const metrics::ScopedRegistry scoped(reg);
-  for (const int jobs : {1, 3}) {
-    ThreadPool pool(jobs);
-    pool.run(40, [](std::size_t) {});
-    pool.run(40, [](std::size_t) {});
-    const PoolCounters c = pool.counters();
-    if (jobs == 1) {
-      // The inline serial path has no scheduler, hence no scheduler counters.
-      EXPECT_EQ(c.own_pops + c.steals, 0);
-    } else {
-      // own vs. stolen is scheduling-dependent; the sum is not.
-      EXPECT_EQ(c.own_pops + c.steals, 2 * 40) << "jobs=" << jobs;
-    }
-  }
-  EXPECT_EQ(reg.counter("exec.pool.own_pops") + reg.counter("exec.pool.steals"),
-            2 * 40);
-}
-
-TEST(ThreadPool, ContextIdsCoverTheTasksDuringARun) {
-  ThreadPool pool(2);
-  std::atomic<int> on_context{0};
-  std::atomic<int> off_pool{0};
-  pool.run(64, [&](std::size_t) {
-    const int ctx = ThreadPool::current_context();
-    if (ctx >= 0 && ctx < 2) on_context.fetch_add(1);
-  });
-  EXPECT_EQ(on_context.load(), 64);
-  // Off the pool (and on the jobs==1 inline path) there is no context.
-  EXPECT_EQ(ThreadPool::current_context(), -1);
-  ThreadPool inline_pool(1);
-  inline_pool.run(4, [&](std::size_t) {
-    if (ThreadPool::current_context() == -1) off_pool.fetch_add(1);
-  });
-  EXPECT_EQ(off_pool.load(), 4);
-}
 
 TEST(PlanCache, MissThenHit) {
   const zir::Program program = parser::parse_program(kProgram);
@@ -186,60 +66,45 @@ TEST(PlanCache, MissThenHit) {
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
-TEST(PlanCache, KeyIgnoresSourceOffsetsAndWhitespace) {
-  const zir::Program a = parser::parse_program(kProgram);
-  const zir::Program b = parser::parse_program(kProgramReformatted);
-  const comm::OptOptions opts = comm::OptOptions::for_level(comm::OptLevel::kCC);
-  EXPECT_EQ(plan_key(a, opts, "t3d"), plan_key(b, opts, "t3d"));
-
-  PlanCache cache;
-  const auto pa = cache.get_or_plan(a, opts, "t3d");
-  const auto pb = cache.get_or_plan(b, opts, "t3d");
-  EXPECT_EQ(pa.get(), pb.get());
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 1);
-}
-
 TEST(PlanCache, KeySeparatesOptionsAndMachine) {
   const zir::Program program = parser::parse_program(kProgram);
   const comm::OptOptions pl = comm::OptOptions::for_level(comm::OptLevel::kPL);
   comm::OptOptions maxlat = pl;
   maxlat.heuristic = comm::CombineHeuristic::kMaxLatency;
 
-  EXPECT_NE(plan_key(program, pl, ""), plan_key(program, maxlat, ""));
-  EXPECT_NE(plan_key(program, pl, "t3d"), plan_key(program, pl, "paragon"));
+  PlanCache cache;
+  const auto p_pl = cache.get_or_plan(program, pl, "t3d");
+  EXPECT_NE(cache.get_or_plan(program, maxlat, "t3d").get(), p_pl.get());
+  EXPECT_NE(cache.get_or_plan(program, pl, "paragon").get(), p_pl.get());
+  EXPECT_EQ(cache.stats().misses, 3);
 
   // pass_log is NOT part of the key: attaching provenance never forks plans.
   comm::OptOptions logged = pl;
   report::PassLog log;
   logged.pass_log = &log;
-  EXPECT_EQ(plan_key(program, pl, ""), plan_key(program, logged, ""));
-}
+  EXPECT_EQ(cache.get_or_plan(program, logged, "t3d").get(), p_pl.get());
+  EXPECT_EQ(cache.stats().misses, 3);
 
-TEST(PlanCache, HashCollisionsResolveByFullKeyCompare) {
-  const zir::Program a = parser::parse_program(kProgram);
-  const zir::Program b = parser::parse_program(kOtherProgram);
-  const comm::OptOptions opts = comm::OptOptions::for_level(comm::OptLevel::kRR);
+  // Options that differ only past the sixth significant digit are still
+  // different options, and each must be served its own plan.
+  const zir::Program tomcatv = parser::parse_program(programs::benchmark("tomcatv").source);
+  comm::OptOptions half = pl;
+  half.heuristic = comm::CombineHeuristic::kHybrid;
+  half.hybrid_min_window_fraction = 0.5;
+  comm::OptOptions past_half = half;
+  past_half.hybrid_min_window_fraction = 0.5 + 1e-9;
+  const std::string want_half =
+      comm::to_string(comm::plan_communication(tomcatv, half), tomcatv);
+  const std::string want_past_half =
+      comm::to_string(comm::plan_communication(tomcatv, past_half), tomcatv);
+  ASSERT_NE(want_half, want_past_half);
 
-  // Degenerate hash: every key lands in one bucket, so distinct programs
-  // collide and only the full-key compare keeps them apart.
-  PlanCache::Options copts;
-  copts.hash = [](std::string_view) { return std::uint64_t{42}; };
-  PlanCache cache(copts);
-
-  const auto pa = cache.get_or_plan(a, opts);
-  const auto pb = cache.get_or_plan(b, opts);
-  ASSERT_NE(pa, nullptr);
-  ASSERT_NE(pb, nullptr);
-  EXPECT_NE(pa.get(), pb.get());
-  EXPECT_NE(pa->static_count(), pb->static_count());
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().hits, 0);
-
-  // And both entries stay retrievable through the shared bucket.
-  EXPECT_EQ(cache.get_or_plan(a, opts).get(), pa.get());
-  EXPECT_EQ(cache.get_or_plan(b, opts).get(), pb.get());
-  EXPECT_EQ(cache.stats().hits, 2);
+  PlanCache fractions;
+  const auto p_half = fractions.get_or_plan(tomcatv, half, "t3d");
+  const auto p_past_half = fractions.get_or_plan(tomcatv, past_half, "t3d");
+  EXPECT_EQ(fractions.stats().misses, 2);
+  EXPECT_EQ(comm::to_string(*p_half, tomcatv), want_half);
+  EXPECT_EQ(comm::to_string(*p_past_half, tomcatv), want_past_half);
 }
 
 TEST(PlanCache, PublishesHitMissCountersToCurrentRegistry) {
@@ -266,12 +131,19 @@ TEST(PlanCache, ConcurrentRequestsPlanEachKeyOnce) {
       comm::OptOptions::for_level(comm::OptLevel::kPL),
   };
   PlanCache cache;
-  ThreadPool pool(8);
+  constexpr std::size_t kThreads = 8;
   constexpr std::size_t kTasks = 64;
   std::vector<std::shared_ptr<const comm::CommPlan>> got(kTasks);
-  pool.run(kTasks, [&](std::size_t i) {
-    got[i] = cache.get_or_plan(i % 2 == 0 ? a : b, opts[(i / 2) % opts.size()]);
-  });
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < kTasks; i += kThreads) {
+          got[i] = cache.get_or_plan(i % 2 == 0 ? a : b, opts[(i / 2) % opts.size()]);
+        }
+      });
+    }
+  }
   for (const auto& p : got) EXPECT_NE(p, nullptr);
   const PlanCacheStats s = cache.stats();
   EXPECT_EQ(s.misses, 8);  // 2 programs x 4 option sets, each planned once
@@ -336,15 +208,65 @@ TEST(Registry, ScopedRegistryRedirectsAndRestores) {
 TEST(Registry, CurrentIsPerThread) {
   metrics::Registry mine;
   const metrics::ScopedRegistry scoped(mine);
-  ThreadPool pool(4);
-  // Worker threads have no redirect: their current() is global(), not ours.
-  std::atomic<int> redirected{0};
-  pool.run(16, [&](std::size_t) {
-    if (&metrics::Registry::current() == &mine) redirected.fetch_add(1);
-  });
-  // Task 0 may run on the caller (which IS redirected); workers never are.
-  EXPECT_LE(redirected.load(), 16);
+  // Another thread has no redirect: its current() is global(), not ours.
+  const metrics::Registry* seen = nullptr;
+  std::thread([&] { seen = &metrics::Registry::current(); }).join();
+  EXPECT_EQ(seen, &metrics::Registry::global());
   EXPECT_EQ(&metrics::Registry::current(), &mine);
+}
+
+// A small grid: every paper experiment on two suite programs at their test
+// sizes.
+std::vector<SweepItem> small_grid() {
+  std::vector<SweepItem> items;
+  for (const char* name : {"tomcatv", "swm"}) {
+    const programs::BenchmarkInfo& info = programs::benchmark(name);
+    const auto program = std::make_shared<const zir::Program>(parser::parse_program(info.source));
+    for (const driver::Experiment& e : driver::paper_experiments()) {
+      SweepItem item;
+      item.label = info.name + "/" + e.name;
+      item.program = program;
+      item.experiment = e;
+      item.procs = 4;
+      item.config_overrides = info.test_configs;
+      items.push_back(std::move(item));
+    }
+  }
+  return items;
+}
+
+TEST(Sweep, ParallelRunFillsEverySlotAndReportsAMissingProgram) {
+  const std::vector<SweepItem> serial_items = small_grid();
+  SweepOptions serial;
+  serial.jobs = 1;
+  const std::vector<SweepResult> want = run_sweep(serial_items, serial);
+
+  std::vector<SweepItem> items = serial_items;
+  constexpr std::size_t kHole = 5;
+  SweepItem hole;
+  hole.label = "hole";
+  items.insert(items.begin() + kHole, hole);
+  SweepOptions parallel;
+  parallel.jobs = 4;
+  const std::vector<SweepResult> got = run_sweep(items, parallel);
+
+  ASSERT_EQ(got.size(), items.size());
+  EXPECT_FALSE(got[kHole].ok);
+  EXPECT_EQ(got[kHole].error, "sweep item 'hole' has no program");
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (i == kHole) continue;
+    const SweepResult& w = want[i < kHole ? i : i - 1];
+    ASSERT_TRUE(w.ok) << items[i].label << ": " << w.error;
+    ASSERT_TRUE(got[i].ok) << items[i].label << ": " << got[i].error;
+    EXPECT_EQ(result_checksum(got[i].metrics.run), result_checksum(w.metrics.run))
+        << items[i].label;
+  }
+}
+
+TEST(Sweep, RejectsNegativeJobs) {
+  SweepOptions options;
+  options.jobs = -1;
+  EXPECT_THROW(run_sweep(small_grid(), options), Error);
 }
 
 }  // namespace

@@ -375,15 +375,20 @@ TEST(ProfTest, PerfBudgetDiff) {
   EXPECT_FALSE(same.at("wall").at("regressed").boolean);
 
   // A 2x slowdown on everything blows a 20% budget (wall, at least; small
-  // spans may hide under the absolute noise floor).
-  const json::Value slow = scale_profile(report, 2.0);
-  const json::Value bad = driver::perf_budget_diff(report, slow, 20.0);
+  // spans may hide under the absolute noise floor). This test-scale run's
+  // measured wall is about one millisecond, the size of the default floor,
+  // so the baseline wall is pinned at 10 ms: a 2x wall then exceeds the
+  // budget plus the floor on any host.
+  json::Value base = report;
+  base["host_profile"]["wall_seconds"].number = 0.01;
+  const json::Value slow = scale_profile(base, 2.0);
+  const json::Value bad = driver::perf_budget_diff(base, slow, 20.0);
   EXPECT_TRUE(bad.at("regressed").boolean);
   EXPECT_TRUE(bad.at("wall").at("regressed").boolean);
 
   // The absolute floor absorbs sub-millisecond jitter: with a huge floor
   // nothing regresses.
-  const json::Value forgiven = driver::perf_budget_diff(report, slow, 20.0, /*abs_floor=*/1e9);
+  const json::Value forgiven = driver::perf_budget_diff(base, slow, 20.0, /*abs_floor=*/1e9);
   EXPECT_FALSE(forgiven.at("regressed").boolean);
 
   // Reports without a host_profile are rejected, not mis-compared.

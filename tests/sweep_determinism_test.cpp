@@ -160,7 +160,6 @@ TEST(SweepDeterminism, CacheSharesOnePlanObjectPerKey) {
   SweepOptions opts;
   opts.jobs = kWorkers;
   opts.plan_cache = &cache;
-  opts.merge_metrics = false;
   const std::vector<SweepResult> results = run_sweep(items, opts);
 
   const std::size_t per_rep = items.size() / 4;

@@ -1,13 +1,12 @@
 // Unit tests for the windowed time-series core (src/tseries): proportional
 // span spreading, the folding resize (sums preserved exactly, window count
-// fixed), point samples, the SimSeries wire split, WallSeries concurrency,
-// and the CSV/JSON export shapes. The end-to-end conservation laws against
+// fixed), point samples, the SimSeries wire split, and the CSV/JSON export
+// shapes. The end-to-end conservation laws against
 // real traced runs live in tests/tseries_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "src/support/csv.h"
@@ -148,27 +147,7 @@ TEST(SimSeries, JsonAndCsvExportsCarryTheWholeGrid) {
   EXPECT_NEAR(csv_total, grid_total, 1e-9);
 }
 
-TEST(WallSeries, ConcurrentProducersConserveTotals) {
-  WallSeries s(4, {"busy", "tasks"}, 16, 0.001);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&s, t] {
-      for (int i = 0; i < 500; ++i) {
-        const double at = static_cast<double>(i) * 1e-4;
-        s.add_span(t, 0, at, at + 5e-5);
-        s.add_at(t, 1, at, 1.0);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_NEAR(s.channel_total(0), 4 * 500 * 5e-5, 1e-9);
-  EXPECT_DOUBLE_EQ(s.channel_total(1), 4.0 * 500.0);
-  const json::Value doc = json::parse(s.to_json().dump());
-  EXPECT_EQ(doc.at("kind").string, "zc-wall-timeline");
-  EXPECT_EQ(static_cast<int>(doc.at("rows").number), 4);
-}
-
-TEST(Render, HeatmapAndSweepSummaryMentionEveryRow) {
+TEST(Render, HeatmapMentionsEveryRow) {
   SimSeries s(2, 8);
   s.add_compute(0, 0.0, 1.0);
   s.add_compute(1, 0.5, 1.5);
@@ -176,14 +155,6 @@ TEST(Render, HeatmapAndSweepSummaryMentionEveryRow) {
   EXPECT_NE(map.find("proc 0"), std::string::npos);
   EXPECT_NE(map.find("proc 1"), std::string::npos);
   EXPECT_NE(map.find("totals (s):"), std::string::npos);
-
-  WallSeries w(2, {"busy", "tasks", "latency", "own_pop", "steal", "cache_hit",
-                   "cache_miss"});
-  w.add_span(0, 0, 0.0, 0.1);
-  w.add_at(0, 1, 0.1, 1.0);
-  const std::string summary = sweep_summary(w);
-  EXPECT_NE(summary.find("worker 0"), std::string::npos);
-  EXPECT_NE(summary.find("worker 1"), std::string::npos);
 }
 
 }  // namespace

@@ -75,3 +75,12 @@ set_tests_properties(bench_observer_overhead_rejects_bench_json PROPERTIES
 zc_bench_binary(bench_abl_hybrid)
 zc_bench_binary(bench_abl_interblock)
 zc_bench_binary(bench_paragon_suite)
+
+# Harnesses that never run a sweep reject --jobs=N (usage, exit 2) instead
+# of silently ignoring it; Figure 7 stands for all seven.
+add_test(NAME bench_fig07_rejects_jobs
+  COMMAND bash -c "\"$0\" --jobs=4 2>&1 >/dev/null; echo \"exit $?\""
+          $<TARGET_FILE:bench_fig07_programs>)
+set_tests_properties(bench_fig07_rejects_jobs PROPERTIES
+  LABELS smoke
+  PASS_REGULAR_EXPRESSION "usage: [^\n]*bench_fig07_programs \\[--paper\\] \\[--procs=N\\] \\[--csv=PATH\\]\nexit 2")

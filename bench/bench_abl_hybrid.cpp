@@ -26,7 +26,7 @@ zc::driver::Metrics run_with(const zc::zir::Program& p, const zc::comm::OptOptio
 
 int main(int argc, char** argv) {
   using namespace zc;
-  const bench::Options options = bench::parse_options(argc, argv);
+  const bench::Options options = bench::parse_options(argc, argv, /*accept_jobs=*/false);
   bench::print_header("Ablation: hybrid combining heuristic",
                       "size-capped, window-preserving combining (paper future work)", options);
 

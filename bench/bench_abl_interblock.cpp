@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace zc;
-  const bench::Options options = bench::parse_options(argc, argv);
+  const bench::Options options = bench::parse_options(argc, argv, /*accept_jobs=*/false);
   bench::print_header("Ablation: cross-block dataflow",
                       "redundancy removal across basic blocks (paper §4 future work)",
                       options);

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace zc;
-  const bench::Options options = bench::parse_options(argc, argv);
+  const bench::Options options = bench::parse_options(argc, argv, /*accept_jobs=*/false);
   bench::print_header("Ablation: knee vs. packetization",
                       "where does the 512-double knee come from?", options);
 

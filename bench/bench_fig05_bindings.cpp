@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace zc;
-  const bench::Options options = bench::parse_options(argc, argv);
+  const bench::Options options = bench::parse_options(argc, argv, /*accept_jobs=*/false);
   bench::print_header("Figure 5", "IRONMAN bindings on the Paragon and T3D", options);
 
   Table t({"program state", "call", "nx message passing", "nx asynchronous", "nx callback",

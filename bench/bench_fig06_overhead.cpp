@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace zc;
-  const bench::Options options = bench::parse_options(argc, argv);
+  const bench::Options options = bench::parse_options(argc, argv, /*accept_jobs=*/false);
   bench::print_header("Figure 6 (and Figure 3)",
                       "exposed communication costs vs. message size", options);
 

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace zc;
-  const bench::Options options = bench::parse_options(argc, argv);
+  const bench::Options options = bench::parse_options(argc, argv, /*accept_jobs=*/false);
   bench::print_header("Figure 7", "experimental benchmark programs", options);
 
   Table t({"program", "description", "source lines", "statements", "arrays",

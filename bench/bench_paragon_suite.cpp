@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace zc;
-  const bench::Options options = bench::parse_options(argc, argv);
+  const bench::Options options = bench::parse_options(argc, argv, /*accept_jobs=*/false);
   bench::print_header("Paragon suite (§3.2, unpresented in the paper)",
                       "NX sync vs. asynchronous vs. callback bindings, fully optimized",
                       options);

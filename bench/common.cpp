@@ -29,7 +29,7 @@ const std::map<std::string, std::map<std::string, long long>>& bench_scales() {
 
 }  // namespace
 
-Options parse_options(int argc, char** argv) {
+Options parse_options(int argc, char** argv, bool accept_jobs) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -41,7 +41,7 @@ Options parse_options(int argc, char** argv) {
         std::cerr << "bad --procs value\n";
         std::exit(2);
       }
-    } else if (str::starts_with(arg, "--jobs=")) {
+    } else if (accept_jobs && str::starts_with(arg, "--jobs=")) {
       o.jobs = std::atoi(arg.c_str() + 7);
       if (o.jobs < 0) {
         std::cerr << "bad --jobs value\n";
@@ -50,7 +50,8 @@ Options parse_options(int argc, char** argv) {
     } else if (str::starts_with(arg, "--csv=")) {
       o.csv_path = arg.substr(6);
     } else {
-      std::cerr << "usage: " << argv[0] << " [--paper] [--procs=N] [--jobs=N] [--csv=PATH]\n";
+      std::cerr << "usage: " << argv[0] << " [--paper] [--procs=N]"
+                << (accept_jobs ? " [--jobs=N]" : "") << " [--csv=PATH]\n";
       std::exit(2);
     }
   }

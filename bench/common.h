@@ -6,7 +6,9 @@
 //                  default uses the same spatial sizes with fewer
 //                  iterations — counts scale linearly, shapes identical)
 //   --procs=N      processor count (default 64, the paper's partitions)
-//   --jobs=N       sweep-scheduler workers for the grid runs (default 1)
+//   --jobs=N       sweep-scheduler workers for the grid runs (default 1;
+//                  only harnesses that run their grid through
+//                  run_experiments accept it, the rest reject it)
 //   --csv=PATH     also dump machine-readable results
 //
 // Output goes to stdout and the --csv file only; a harness writes nothing
@@ -35,8 +37,10 @@ struct Options {
   std::optional<std::string> csv_path;
 };
 
-/// Parses the common flags; exits with a usage message on unknown flags.
-Options parse_options(int argc, char** argv);
+/// Parses the common flags; exits 2 with a usage message on unknown flags.
+/// A harness that never calls run_experiments passes accept_jobs = false,
+/// so --jobs=N is an unknown flag there rather than silently ignored.
+Options parse_options(int argc, char** argv, bool accept_jobs = true);
 
 /// The problem configuration a harness should run: paper scale or the
 /// bench default (paper sizes, reduced iteration counts).

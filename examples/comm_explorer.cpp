@@ -17,6 +17,7 @@
 // Open the JSON in https://ui.perfetto.dev or chrome://tracing; pipelined
 // runs show the wire lanes' transfer spans overlapping the processors'
 // compute spans, with the exposed remainder visible as "wait DN" slices.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -37,7 +38,6 @@
 #include "src/programs/programs.h"
 #include "src/report/passlog.h"
 #include "src/support/io.h"
-#include "src/support/metrics.h"
 #include "src/trace/chrome.h"
 #include "src/trace/stats.h"
 #include "src/tseries/render.h"
@@ -110,7 +110,6 @@ struct TraceOptions {
   bool trace_requested = false;
   bool explain = false;          // --explain [bench]
   std::string report_path;       // --report <out.json>
-  bool print_metrics = false;    // --metrics
   bool blame = false;            // --blame
   bool critical_path = false;    // --critical-path
   std::string attribute_vs;      // --attribute-vs <experiment>
@@ -133,8 +132,8 @@ struct TraceOptions {
     return timeline || !timeline_csv_path.empty() || !timeline_json_path.empty();
   }
   [[nodiscard]] bool run_requested() const {
-    return trace_requested || explain || !report_path.empty() || print_metrics ||
-           profile_requested() || timeline_requested();
+    return trace_requested || explain || !report_path.empty() || profile_requested() ||
+           timeline_requested();
   }
 };
 
@@ -153,7 +152,6 @@ struct TraceOptions {
       "                               heuristic and size, pl hoist distances)\n"
       "  --report <out.json>          run and write a machine-readable run\n"
       "                               report (compare two with report_diff)\n"
-      "  --metrics                    print the process metrics registry\n"
       "  --trace <out.json>           run and export a Chrome trace (open in\n"
       "                               Perfetto / chrome://tracing)\n"
       "  --trace-stats                print wait/CPU, exposed vs. overlapped\n"
@@ -172,8 +170,7 @@ struct TraceOptions {
       "                               time, not simulated time) and print the\n"
       "                               hierarchical span tree; reports written\n"
       "                               in the same run gain a host_profile\n"
-      "                               block (gate with report_diff\n"
-      "                               --perf-budget)\n"
+      "                               block\n"
       "  --profile-folded <out.txt>   write the host profile as folded stacks\n"
       "                               (pipe into flamegraph.pl)\n"
       "  --profile-chrome <out.json>  write the host span timeline as a Chrome\n"
@@ -381,12 +378,14 @@ int run_sweep_mode(const TraceOptions& opt, zc::prof::Profiler* profiler) {
   }
 
   const exec::PlanCacheStats cs = cache.stats();
-  const int jobs = sopts.jobs == 0 ? exec::hardware_jobs() : sopts.jobs;
+  // run_sweep starts no more threads than there are items.
+  const std::size_t jobs = std::min(
+      static_cast<std::size_t>(sopts.jobs == 0 ? exec::hardware_jobs() : sopts.jobs),
+      results.size());
   std::cout << "sweep: " << results.size() << " runs, " << jobs << " job"
             << (jobs == 1 ? "" : "s") << ", " << wall << " s wall; programs parsed: "
             << parsed.size() << "; plan cache: " << cs.hits << " hits, " << cs.misses
             << " misses (hit rate " << cs.hit_rate() << ")\n";
-  if (opt.print_metrics) std::cout << metrics::Registry::global().to_text();
   return failures == 0 ? 0 : 1;
 }
 
@@ -451,9 +450,7 @@ int run_experiments_mode(const TraceOptions& opt, zc::prof::Profiler* profiler) 
       ropts.host_profiler = profiler;
       ropts.timeline = timeline_ptr.get();
       json::Value doc = driver::build_report(m, e, opt.procs, &log, ropts);
-      if (opt.trace_requested) {
-        driver::attach_attribution(doc, recorder, program, m.plan, ropts.max_attribution_rows);
-      }
+      if (opt.trace_requested) driver::attach_attribution(doc, recorder, program, m.plan);
       io::write_text_file(path, doc.dump() + "\n");
       std::cout << "wrote run report: " << path << "\n";
     }
@@ -519,7 +516,6 @@ int run_experiments_mode(const TraceOptions& opt, zc::prof::Profiler* profiler) 
     kept_recorder = std::move(recorder_ptr);
     kept_timeline = std::move(timeline_ptr);
   }
-  if (opt.print_metrics) std::cout << metrics::Registry::global().to_text();
   if (!opt.profile_chrome_path.empty()) {
     trace::write_chrome_trace(opt.trace_requested ? kept_recorder.get() : nullptr, profiler,
                               kept_timeline.get(), opt.profile_chrome_path);
@@ -565,7 +561,6 @@ int main(int argc, char** argv) {
       if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) opt.bench = args[++i];
     }
     else if (a == "--report") opt.report_path = value();
-    else if (a == "--metrics") opt.print_metrics = true;
     else if (a == "--blame") { opt.blame = true; opt.trace_requested = true; }
     else if (a == "--critical-path") { opt.critical_path = true; opt.trace_requested = true; }
     else if (a == "--attribute-vs") { opt.attribute_vs = value(); opt.trace_requested = true; }

@@ -7,18 +7,13 @@
 //   report_diff old.json new.json
 //   report_diff --require-strict=static_count baseline.json rr.json
 //   report_diff --json old.json new.json > diff.json
-//   report_diff --perf-budget 20 profiled_old.json profiled_new.json
 //
-// With --perf-budget <pct> the reports must carry a host_profile block
-// (comm_explorer --profile --report ...) and the tool additionally gates
-// the toolchain's own wall time: any span path (or the total) more than
-// <pct> percent — plus a 1 ms absolute noise floor — slower than the
-// baseline is a regression. This is the perf gate for the toolchain
-// itself, as opposed to the simulated-time fields above.
+// Host time is not gated here: one sample per side says nothing about a
+// toolchain slowdown. e2ebench/ measures that with repeated samples.
 //
-// The comparison itself lives in driver::diff_run_reports /
-// driver::perf_budget_diff, so --json emits the same verdicts the text
-// path prints (round-trip-tested by tests/report_schema_test.cpp).
+// The comparison itself lives in driver::diff_run_reports, so --json emits
+// the same verdicts the text path prints (round-trip-tested by
+// tests/report_schema_test.cpp).
 //
 // Exit status: 0 = no regression, 1 = regression (or a --require-strict
 // field that failed to strictly improve), 2 = usage or I/O error. Wired
@@ -45,30 +40,8 @@ namespace {
       "                               (e.g. static_count, dynamic_count)\n"
       "  --json                       emit the comparison as JSON on stdout\n"
       "                               instead of the text table\n"
-      "  --perf-budget <pct>          also gate host wall time: fail when a\n"
-      "                               host_profile span path (or the wall\n"
-      "                               total) is more than <pct> percent slower\n"
-      "                               than the baseline (plus a 1 ms floor);\n"
-      "                               both reports need a host_profile block\n"
-      "  --scale-after-host <f>       multiply the new report's host_profile\n"
-      "                               times by <f> before comparing (testing\n"
-      "                               aid: makes the perf gate deterministic\n"
-      "                               in CI by injecting a known slowdown)\n"
       "exit status: 0 ok, 1 regression, 2 usage or I/O error\n";
   std::exit(code);
-}
-
-/// --scale-after-host: scales every host_profile duration in-place.
-void scale_host_times(zc::json::Value& v, double factor) {
-  if (v.has("wall_seconds")) v["wall_seconds"].number *= factor;
-  if (v.has("total_seconds")) v["total_seconds"].number *= factor;
-  if (v.has("self_seconds")) v["self_seconds"].number *= factor;
-  if (v.has("spans")) {
-    for (zc::json::Value& s : v["spans"].array) scale_host_times(s, factor);
-  }
-  if (v.has("children")) {
-    for (zc::json::Value& s : v["children"].array) scale_host_times(s, factor);
-  }
 }
 
 zc::json::Value load_report(const std::string& path) {
@@ -86,9 +59,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> strict_fields;
   std::vector<std::string> paths;
   bool as_json = false;
-  bool perf_budget_requested = false;
-  double perf_budget_pct = 0.0;
-  double scale_after_host = 1.0;
 
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -102,15 +72,6 @@ int main(int argc, char** argv) {
       strict_fields.push_back(a.substr(std::string("--require-strict=").size()));
     }
     else if (a == "--json") as_json = true;
-    else if (a == "--perf-budget") {
-      if (i + 1 >= args.size()) usage(2);
-      perf_budget_requested = true;
-      perf_budget_pct = std::strtod(args[++i].c_str(), nullptr);
-    }
-    else if (a == "--scale-after-host") {
-      if (i + 1 >= args.size()) usage(2);
-      scale_after_host = std::strtod(args[++i].c_str(), nullptr);
-    }
     else if (a.rfind("--", 0) == 0) {
       std::cerr << "unknown option: " << a << "\n";
       usage(2);
@@ -121,17 +82,10 @@ int main(int argc, char** argv) {
 
   try {
     const zc::json::Value before = load_report(paths[0]);
-    zc::json::Value after = load_report(paths[1]);
-    if (scale_after_host != 1.0 && after.has("host_profile")) {
-      scale_host_times(after["host_profile"], scale_after_host);
-    }
-    zc::json::Value diff =
+    const zc::json::Value after = load_report(paths[1]);
+    const zc::json::Value diff =
         zc::driver::diff_run_reports(before, after, time_tolerance, strict_fields);
-    bool failed = diff.at("regressed").boolean;
-    if (perf_budget_requested) {
-      diff["perf_budget"] = zc::driver::perf_budget_diff(before, after, perf_budget_pct);
-      failed = failed || diff.at("perf_budget").at("regressed").boolean;
-    }
+    const bool failed = diff.at("regressed").boolean;
 
     if (as_json) {
       std::cout << diff.dump() << "\n";
@@ -159,18 +113,6 @@ int main(int argc, char** argv) {
       if (b.at("before").boolean != b.at("after").boolean) {
         std::cout << "  note: block '" << b.at("name").string << "' only in the "
                   << (b.at("before").boolean ? "old" : "new") << " report\n";
-      }
-    }
-    if (perf_budget_requested) {
-      const zc::json::Value& pb = diff.at("perf_budget");
-      const zc::json::Value& wall = pb.at("wall");
-      std::cout << "  perf-budget " << perf_budget_pct << "%: host wall "
-                << wall.at("before").number << "s -> " << wall.at("after").number << "s"
-                << (wall.at("regressed").boolean ? "  REGRESSION" : "") << "\n";
-      for (const zc::json::Value& s : pb.at("spans").array) {
-        if (!s.at("regressed").boolean) continue;
-        std::cout << "    span " << s.at("path").string << ": " << s.at("before").number
-                  << "s -> " << s.at("after").number << "s  REGRESSION\n";
       }
     }
     return failed ? 1 : 0;

@@ -7,7 +7,6 @@
 #include "src/comm/interblock.h"
 #include "src/prof/prof.h"
 #include "src/support/check.h"
-#include "src/support/metrics.h"
 
 namespace zc::comm {
 
@@ -452,21 +451,6 @@ CommPlan plan_communication(const zir::Program& program, const OptOptions& optio
   // An inter-block kill may have removed a transfer an intra-block decision
   // named as its coverer; re-point every decision at the live chain root.
   if (log != nullptr) log->resolve_rr_coverers();
-
-  auto& reg = metrics::Registry::current();
-  reg.count("opt.plans");
-  reg.count("opt.transfers_generated", plan.total_transfer_count());
-  int live = 0;
-  for (const BlockPlan& bp : plan.blocks) live += bp.live_transfer_count();
-  reg.count("opt.transfers_removed", plan.total_transfer_count() - live);
-  reg.count("opt.groups_formed", plan.static_count());
-  if (options.pipeline) {
-    for (const BlockPlan& bp : plan.blocks) {
-      for (const CommGroup& g : bp.groups) {
-        reg.observe("opt.sr_hoist_stmts", static_cast<double>(g.first_use - g.sr_pos));
-      }
-    }
-  }
   return plan;
 }
 

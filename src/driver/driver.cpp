@@ -1,13 +1,9 @@
 #include "src/driver/driver.h"
 
-#include <chrono>
-
 #include "src/parser/parser.h"
-#include "src/prof/procstat.h"
 #include "src/prof/prof.h"
 #include "src/support/check.h"
 #include "src/support/diag.h"
-#include "src/support/metrics.h"
 
 namespace zc::driver {
 
@@ -62,7 +58,6 @@ Metrics run_experiment(const zir::Program& program, const Experiment& experiment
 Metrics run_planned(const zir::Program& program, const comm::CommPlan& plan,
                     const Experiment& experiment, sim::RunConfig config) {
   ZC_PROF_SPAN("driver/run_experiment");
-  const auto wall_start = std::chrono::steady_clock::now();
   config.library = experiment.library;
 
   Metrics m;
@@ -73,19 +68,6 @@ Metrics run_planned(const zir::Program& program, const comm::CommPlan& plan,
   m.execution_time = m.run.elapsed_seconds;
   m.plan = plan;
   if (recorder != nullptr) m.trace_stats = trace::compute_stats(*recorder);
-
-  auto& reg = metrics::Registry::current();
-  reg.count("driver.experiments");
-  reg.gauge("driver.last_static_count", static_cast<double>(m.static_count));
-  reg.gauge("driver.last_dynamic_count", static_cast<double>(m.dynamic_count));
-  reg.gauge("driver.last_execution_seconds", m.execution_time);
-  // Host-side cost of the run itself (the simulated counters above measure
-  // the virtual machine): end-to-end wall time plus the process's peak RSS,
-  // so --metrics shows what this toolchain costs the machine it runs on.
-  reg.gauge("process.last_run_wall_seconds",
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-                .count());
-  reg.gauge("process.peak_rss_bytes", static_cast<double>(prof::peak_rss_bytes()));
   return m;
 }
 

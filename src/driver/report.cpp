@@ -2,14 +2,11 @@
 
 #include <utility>
 
-#include <map>
-
 #include "src/analysis/blame.h"
 #include "src/analysis/critpath.h"
 #include "src/prof/procstat.h"
 #include "src/support/diag.h"
 #include "src/support/fingerprint.h"
-#include "src/support/metrics.h"
 #include "src/trace/stats.h"
 
 namespace zc::driver {
@@ -17,6 +14,9 @@ namespace zc::driver {
 namespace {
 
 using json::Value;
+
+constexpr int kMaxDecisionsPerPass = 2000;
+constexpr int kMaxAttributionRows = 200;
 
 Value options_json(const comm::OptOptions& o) {
   Value v = Value::make_object();
@@ -51,7 +51,7 @@ Value build_report(const Metrics& metrics, const Experiment& experiment, int pro
                    const report::PassLog* log, const ReportOptions& ropts) {
   Value doc = Value::make_object();
   doc["schema"] = Value::make_str("zcomm-run-report");
-  doc["schema_version"] = Value::make_int(5);
+  doc["schema_version"] = Value::make_int(6);
   doc["benchmark"] = Value::make_str(ropts.benchmark);
   doc["experiment"] = Value::make_str(experiment.name);
   doc["library"] = Value::make_str(ironman::to_string(experiment.library));
@@ -65,18 +65,15 @@ Value build_report(const Metrics& metrics, const Experiment& experiment, int pro
   doc["total_bytes"] = Value::make_int(metrics.run.total_bytes);
   doc["reduction_count"] = Value::make_int(metrics.run.reduction_count);
 
-  if (ropts.host_fingerprint) {
-    // Who measured this: the host class the perf archive compares
-    // like-for-like, plus the toolchain. Deterministic per machine/build —
-    // no timestamps, so response streams and goldens stay bit-stable.
-    Value host = fingerprint::current_host().to_json();
-    host["build"] = fingerprint::current_build().to_json();
-    doc["host"] = std::move(host);
-  }
+  // Who measured this: the host class the perf archive compares
+  // like-for-like, plus the toolchain. Deterministic per machine/build —
+  // no timestamps, so response streams and goldens stay bit-stable.
+  Value host = fingerprint::current_host().to_json();
+  host["build"] = fingerprint::current_build().to_json();
+  doc["host"] = std::move(host);
 
-  if (log != nullptr) doc["passes"] = log->to_json(ropts.max_decisions_per_pass);
+  if (log != nullptr) doc["passes"] = log->to_json(kMaxDecisionsPerPass);
   if (metrics.trace_stats.has_value()) doc["trace"] = trace_json(*metrics.trace_stats);
-  if (ropts.metrics_snapshot) doc["metrics"] = metrics::Registry::current().to_json();
   if (ropts.host_profiler != nullptr) {
     Value hp = ropts.host_profiler->to_json();
     hp["peak_rss_bytes"] = Value::make_int(prof::peak_rss_bytes());
@@ -93,7 +90,7 @@ Value run_report(const zir::Program& program, const Experiment& experiment,
 
   Experiment e = experiment;
   report::PassLog log;
-  if (opts.provenance) e.opts.pass_log = &log;
+  e.opts.pass_log = &log;
 
   const int procs = config.procs;
   const trace::Recorder* recorder = config.recorder;
@@ -101,19 +98,16 @@ Value run_report(const zir::Program& program, const Experiment& experiment,
   // explicitly supplied a (possibly different) series to embed.
   if (opts.timeline == nullptr) opts.timeline = config.timeline;
   const Metrics m = run_experiment(program, e, std::move(config));
-  Value doc = build_report(m, e, procs, opts.provenance ? &log : nullptr, opts);
-  if (recorder != nullptr && opts.attribution) {
-    attach_attribution(doc, *recorder, program, m.plan, opts.max_attribution_rows);
-  }
+  Value doc = build_report(m, e, procs, &log, opts);
+  if (recorder != nullptr) attach_attribution(doc, *recorder, program, m.plan);
   return doc;
 }
 
 void attach_attribution(json::Value& doc, const trace::Recorder& recorder,
-                        const zir::Program& program, const comm::CommPlan& plan,
-                        int max_rows) {
-  doc["blame"] = analysis::compute_blame(recorder, program, plan).to_json(max_rows);
+                        const zir::Program& program, const comm::CommPlan& plan) {
+  doc["blame"] = analysis::compute_blame(recorder, program, plan).to_json(kMaxAttributionRows);
   doc["critical_path"] =
-      analysis::compute_critical_path(recorder, program, plan).to_json(max_rows);
+      analysis::compute_critical_path(recorder, program, plan).to_json(kMaxAttributionRows);
 }
 
 json::Value diff_run_reports(const json::Value& before, const json::Value& after,
@@ -183,7 +177,8 @@ json::Value diff_run_reports(const json::Value& before, const json::Value& after
 
   // Optional blocks may legitimately differ between runs (one traced or
   // profiled, the other not). Presence asymmetry is reported, never treated
-  // as a regression or a structural error.
+  // as a regression or a structural error. "metrics" occurs only in v5 and
+  // older reports.
   Value blocks = Value::make_array();
   for (const char* name : {"passes", "trace", "blame", "critical_path", "metrics",
                            "host_profile", "timeline", "host"}) {
@@ -197,80 +192,6 @@ json::Value diff_run_reports(const json::Value& before, const json::Value& after
     blocks.push_back(std::move(b));
   }
   diff["optional_blocks"] = std::move(blocks);
-  diff["regressed"] = Value::make_bool(regressed);
-  return diff;
-}
-
-namespace {
-
-/// Flattens a host_profile span forest into path -> total_seconds, paths
-/// joined with ';' (the folded-stack separator).
-void flatten_spans(const Value& spans, const std::string& prefix,
-                   std::map<std::string, double>& out) {
-  for (const Value& s : spans.array) {
-    const std::string path =
-        prefix.empty() ? s.at("name").string : prefix + ";" + s.at("name").string;
-    out[path] += s.at("total_seconds").number;
-    if (s.has("children")) flatten_spans(s.at("children"), path, out);
-  }
-}
-
-}  // namespace
-
-json::Value perf_budget_diff(const json::Value& before, const json::Value& after,
-                             double budget_pct, double abs_floor_seconds) {
-  if (!before.has("host_profile") || !after.has("host_profile")) {
-    throw Error("perf-budget diff needs host_profile in both reports "
-                "(rerun with --profile)");
-  }
-  const Value& hb = before.at("host_profile");
-  const Value& ha = after.at("host_profile");
-  const auto over_budget = [&](double b, double a) {
-    return a > b * (1.0 + budget_pct / 100.0) + abs_floor_seconds;
-  };
-
-  Value diff = Value::make_object();
-  diff["budget_pct"] = Value::make_num(budget_pct);
-  diff["abs_floor_seconds"] = Value::make_num(abs_floor_seconds);
-  bool regressed = false;
-
-  const double wall_b = hb.at("wall_seconds").number;
-  const double wall_a = ha.at("wall_seconds").number;
-  Value wall = Value::make_object();
-  wall["before"] = Value::make_num(wall_b);
-  wall["after"] = Value::make_num(wall_a);
-  wall["regressed"] = Value::make_bool(over_budget(wall_b, wall_a));
-  regressed = regressed || over_budget(wall_b, wall_a);
-  diff["wall"] = std::move(wall);
-
-  std::map<std::string, double> spans_b, spans_a;
-  flatten_spans(hb.at("spans"), "", spans_b);
-  flatten_spans(ha.at("spans"), "", spans_a);
-
-  Value spans = Value::make_array();
-  Value only_before = Value::make_array();
-  Value only_after = Value::make_array();
-  for (const auto& [path, b] : spans_b) {
-    const auto it = spans_a.find(path);
-    if (it == spans_a.end()) {
-      only_before.push_back(Value::make_str(path));
-      continue;
-    }
-    const bool bad = over_budget(b, it->second);
-    Value f = Value::make_object();
-    f["path"] = Value::make_str(path);
-    f["before"] = Value::make_num(b);
-    f["after"] = Value::make_num(it->second);
-    f["regressed"] = Value::make_bool(bad);
-    spans.push_back(std::move(f));
-    regressed = regressed || bad;
-  }
-  for (const auto& [path, a] : spans_a) {
-    if (spans_b.find(path) == spans_b.end()) only_after.push_back(Value::make_str(path));
-  }
-  diff["spans"] = std::move(spans);
-  diff["only_before"] = std::move(only_before);
-  diff["only_after"] = std::move(only_after);
   diff["regressed"] = Value::make_bool(regressed);
   return diff;
 }

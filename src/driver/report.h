@@ -1,33 +1,33 @@
 // Machine-readable run reports: one JSON document per (program, experiment)
 // run, carrying everything the paper's Tables 1-4 / Figure 8 report — the
 // static and dynamic communication counts and execution time — plus the
-// optimizer's pass-provenance decisions (src/report/passlog.h), trace
-// analytics when the run was traced, and a snapshot of the process metrics
-// registry. `report_diff` (examples/report_diff.cpp) compares two such
-// documents and flags count or time regressions, which is how the perf
-// trajectory is tracked across PRs.
+// optimizer's pass-provenance decisions (src/report/passlog.h), and trace
+// analytics when the run was traced. Every field describes this one run, so
+// two runs of the same program and experiment give byte-identical reports.
+// `report_diff` (examples/report_diff.cpp) compares two such documents and
+// flags count or time regressions.
 //
 // Schema (validated by tests/report_schema_test.cpp):
 //   schema               "zcomm-run-report"
-//   schema_version       5
+//   schema_version       6
 //   benchmark            caller's label (defaults to the program name)
 //   program, experiment, library, procs
 //   options              {remove_redundant, combine, pipeline, heuristic,
 //                         inter_block}
 //   static_count, dynamic_count, execution_time_seconds
 //   total_messages, total_bytes, reduction_count
-//   host                 present unless disabled: the host fingerprint
-//                        (class, cores, cpu_model, page_size, sanitize) and
+//   host                 the host fingerprint (class, cores, cpu_model,
+//                        page_size, sanitize) and
 //                        a nested build fingerprint — the identity the perf
 //                        archive (src/archive) gates like-for-like; no
 //                        timestamps, so reports stay deterministic
-//   passes               PassLog::to_json() (summary + per-pass decisions)
+//   passes               PassLog::to_json() (summary + per-pass decisions,
+//                        at most 2000 per pass); run_report always has it
 //   trace                present iff the run was traced
 //   blame                present iff traced: per-transfer attribution
-//                        (analysis::BlameReport::to_json)
+//                        (analysis::BlameReport::to_json, at most 200 rows)
 //   critical_path        present iff traced: longest dependence chain and
 //                        per-transfer slack (analysis::CriticalPathReport)
-//   metrics              present unless disabled: Registry::to_json()
 //   host_profile         present iff ReportOptions::host_profiler was set:
 //                        the toolchain's own span tree (prof::Profiler
 //                        ::to_json) plus peak_rss_bytes — host cost, not
@@ -36,12 +36,16 @@
 //                        run's windowed utilization series
 //                        (tseries::SimSeries::to_json)
 //
-// Version history: v1 had everything above except blame / critical_path;
-// v2 added those; v3 added the optional host_profile block; v4 added the
-// optional timeline block; v5 added the optional host fingerprint block
-// (reports built without the corresponding producer are byte-identical to
-// the prior version apart from the version number, and diffs tolerate
-// one-sided presence of every optional block).
+// Version history: v1 had everything above except blame / critical_path,
+// plus a "metrics" block; v2 added blame / critical_path; v3 added the
+// optional host_profile block; v4 added the optional timeline block; v5
+// added the optional host fingerprint block; v6 dropped "metrics", a
+// snapshot of a process-wide registry that summed over every earlier run in
+// the process, and made "host" unconditional.
+// Reports built without the corresponding producer are byte-identical to the
+// prior version apart from the version number, and diffs tolerate one-sided
+// presence of every optional block (so v5 reports with "metrics" diff
+// cleanly against v6).
 #pragma once
 
 #include <vector>
@@ -56,13 +60,7 @@
 namespace zc::driver {
 
 struct ReportOptions {
-  std::string benchmark;             ///< label; empty = the program's name
-  bool provenance = true;            ///< attach a PassLog, include "passes"
-  bool metrics_snapshot = true;      ///< include the global metrics registry
-  int max_decisions_per_pass = 2000; ///< per-pass cap in the document
-  bool attribution = true;           ///< include "blame"/"critical_path" when traced
-  int max_attribution_rows = 200;    ///< row cap in those blocks (-1 = all)
-  bool host_fingerprint = true;      ///< include the "host" identity block
+  std::string benchmark;  ///< label; empty = the program's name
   /// When set, the report gains a "host_profile" block with this profiler's
   /// aggregated span tree (snapshotted at build time) and the process's peak
   /// RSS. Null (the default) leaves the report bit-identical to unprofiled.
@@ -79,9 +77,9 @@ struct ReportOptions {
 json::Value build_report(const Metrics& metrics, const Experiment& experiment, int procs,
                          const report::PassLog* log, const ReportOptions& ropts = {});
 
-/// Runs `experiment` on `program` (attaching a PassLog when
-/// ropts.provenance) and assembles the report. config.recorder, when set,
-/// adds the "trace" block plus (ropts.attribution) "blame"/"critical_path".
+/// Runs `experiment` on `program` with a PassLog attached and assembles the
+/// report. config.recorder, when set, adds the "trace", "blame" and
+/// "critical_path" blocks.
 json::Value run_report(const zir::Program& program, const Experiment& experiment,
                        sim::RunConfig config, const ReportOptions& ropts = {});
 
@@ -89,8 +87,7 @@ json::Value run_report(const zir::Program& program, const Experiment& experiment
 /// from a traced run's recorder (exposed for callers that hold their own
 /// recorder, e.g. comm_explorer).
 void attach_attribution(json::Value& doc, const trace::Recorder& recorder,
-                        const zir::Program& program, const comm::CommPlan& plan,
-                        int max_rows = 200);
+                        const zir::Program& program, const comm::CommPlan& plan);
 
 /// Machine-readable comparison of two run reports — the same content the
 /// report_diff tool prints: per-field before/after/delta with a regression
@@ -101,20 +98,5 @@ void attach_attribution(json::Value& doc, const trace::Recorder& recorder,
 json::Value diff_run_reports(const json::Value& before, const json::Value& after,
                              double time_tolerance = 0.05,
                              const std::vector<std::string>& strict_fields = {});
-
-/// Host-time regression gate over two reports' "host_profile" blocks
-/// (report_diff --perf-budget). A span path (root;child;... by name) or the
-/// wall time regresses when
-///   after > before * (1 + budget_pct/100) + abs_floor_seconds,
-/// the absolute floor absorbing scheduler noise on sub-millisecond spans.
-/// Span paths present in only one report are listed but never regress (the
-/// instrumented surface is allowed to change between builds). Throws
-/// zc::Error if either report lacks host_profile. Returns
-///   {budget_pct, abs_floor_seconds, regressed,
-///    wall: {before, after, regressed},
-///    spans: [{path, before, after, regressed}...],   // paths in both
-///    only_before: [path...], only_after: [path...]}.
-json::Value perf_budget_diff(const json::Value& before, const json::Value& after,
-                             double budget_pct, double abs_floor_seconds = 1e-3);
 
 }  // namespace zc::driver

@@ -3,8 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "src/support/metrics.h"
-
 namespace zc::exec {
 
 std::shared_ptr<const comm::CommPlan> PlanCache::get_or_plan(const zir::Program& program,
@@ -24,27 +22,20 @@ std::shared_ptr<const comm::CommPlan> PlanCache::get_or_plan(const zir::Program&
           options.est_mesh_cols,
           std::string(machine_salt)};
 
-  std::shared_ptr<const comm::CommPlan> plan;
-  bool hit = true;
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    auto it = plans_.find(key);
-    if (it == plans_.end()) {
-      comm::OptOptions clean = options;
-      clean.pass_log = nullptr;  // plans are bit-identical without a log
-      // Planned before the insert, so a throwing plan leaves no entry.
-      auto plan_ptr =
-          std::make_shared<const comm::CommPlan>(comm::plan_communication(program, clean));
-      it = plans_.emplace(std::move(key), std::move(plan_ptr)).first;
-      hit = false;
-      ++stats_.misses;
-    } else {
-      ++stats_.hits;
-    }
-    plan = it->second;
+  const std::lock_guard<std::mutex> lk(mu_);
+  auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    comm::OptOptions clean = options;
+    clean.pass_log = nullptr;  // plans are bit-identical without a log
+    // Planned before the insert, so a throwing plan leaves no entry.
+    auto plan_ptr =
+        std::make_shared<const comm::CommPlan>(comm::plan_communication(program, clean));
+    it = plans_.emplace(std::move(key), std::move(plan_ptr)).first;
+    ++stats_.misses;
+  } else {
+    ++stats_.hits;
   }
-  metrics::Registry::current().count(hit ? "exec.plan_cache.hits" : "exec.plan_cache.misses");
-  return plan;
+  return it->second;
 }
 
 PlanCacheStats PlanCache::stats() const {

@@ -48,8 +48,8 @@ struct PlanCacheStats {
 class PlanCache {
  public:
   /// The cached plan for (program, options, machine_salt), planning and
-  /// inserting on first request. Also bumps the exec.plan_cache.{hits,
-  /// misses} counters in metrics::Registry::current().
+  /// inserting on first request, and counts the lookup as a hit or a miss
+  /// in stats().
   ///
   /// `program` is keyed by address, so it must outlive the cache: a program
   /// destroyed while the cache lives could be replaced by another at the

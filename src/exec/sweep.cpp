@@ -11,7 +11,6 @@
 
 #include "src/prof/prof.h"
 #include "src/support/diag.h"
-#include "src/support/metrics.h"
 #include "src/trace/recorder.h"
 
 namespace zc::exec {
@@ -79,12 +78,10 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepItem>& items,
   PlanCache& cache = options.plan_cache != nullptr ? *options.plan_cache : local_cache;
 
   std::vector<SweepResult> results(items.size());
-  std::vector<metrics::Registry> registries(items.size());
 
   const auto task = [&](std::size_t i) {
     const SweepItem& item = items[i];
     SweepResult& out = results[i];  // submission slot: no cross-task writes
-    const metrics::ScopedRegistry scoped(registries[i]);
     // Worker threads start detached from any profiler; the calling thread
     // may already carry one. Attach only where none is, and never with
     // nullptr: prof::Attach(nullptr) would *detach* the caller's profiler.
@@ -132,9 +129,6 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepItem>& items,
     for (std::size_t w = 1; w < std::min(jobs, items.size()); ++w) workers.emplace_back(claim);
     claim();
   }
-
-  metrics::Registry& sink = metrics::Registry::current();
-  for (const metrics::Registry& r : registries) sink.merge_from(r);
   return results;
 }
 

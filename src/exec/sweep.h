@@ -6,10 +6,6 @@
 // Determinism contract (what the stress test pins):
 //   - Results are collected into a vector slotted by submission index —
 //     result order never depends on scheduling.
-//   - Each task publishes metrics into its own private Registry
-//     (metrics::ScopedRegistry); at join those are merged into the
-//     submitter's Registry::current() in submission order, so merged totals
-//     are identical for any jobs count.
 //   - Each task gets its own sim::Engine, Transport, and (if tracing) its
 //     own trace::Recorder; the only cross-task shared state is deeply const:
 //     the zir::Program, the cached CommPlans, and the machine model value.

@@ -6,7 +6,6 @@
 #include "src/sim/bytecode.h"
 #include "src/support/check.h"
 #include "src/support/diag.h"
-#include "src/support/metrics.h"
 
 namespace zc::sim {
 
@@ -213,16 +212,6 @@ RunResult Engine::finish() {
     }
     r.checksums[p_.array(zir::ArrayId(static_cast<int32_t>(a))).name] = sum;
   }
-
-  // Published once per run (never per message) — see src/support/metrics.h.
-  auto& reg = metrics::Registry::current();
-  reg.count("sim.runs");
-  reg.count("sim.communications", r.dynamic_count);
-  reg.count("sim.messages", r.total_messages);
-  reg.count("sim.bytes", r.total_bytes);
-  reg.count("sim.reductions", r.reduction_count);
-  reg.gauge("sim.last_elapsed_seconds", r.elapsed_seconds);
-  reg.gauge("sim.last_procs", static_cast<double>(mesh_.procs()));
   return r;
 }
 

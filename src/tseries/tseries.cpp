@@ -65,15 +65,6 @@ void Windows::add_span(int row, int channel, double t0, double t1) {
   }
 }
 
-void Windows::add_at(int row, int channel, double t, double value) {
-  if (!std::isfinite(t)) return;
-  t = std::max(t, 0.0);
-  duration_ = std::max(duration_, t);
-  fold_until(t);
-  const int i = std::min(window_count_ - 1, static_cast<int>(t / width_));
-  data_[index(row, channel, i)] += value;
-}
-
 int Windows::used_windows() const {
   if (duration_ <= 0.0) return 1;
   const int used = static_cast<int>(std::ceil(duration_ / width_));

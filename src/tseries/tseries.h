@@ -44,10 +44,6 @@ class Windows {
   /// duration(). Non-finite endpoints are ignored.
   void add_span(int row, int channel, double t0, double t1);
 
-  /// Adds `value` to the window containing `t` (a point sample: counts,
-  /// latency sums, queue-depth samples).
-  void add_at(int row, int channel, double t, double value);
-
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int channels() const { return channels_; }
   [[nodiscard]] int window_count() const { return window_count_; }
@@ -133,9 +129,6 @@ class SimSeries {
   /// when the event trace was capped (tests/tseries_test.cpp).
   [[nodiscard]] double total(Channel channel) const {
     return windows_.channel_total(channel);
-  }
-  [[nodiscard]] double proc_total(int proc, Channel channel) const {
-    return windows_.row_total(proc, channel);
   }
 
   /// {"kind":"zc-sim-timeline", procs, window_count, window_width,

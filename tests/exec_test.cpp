@@ -1,8 +1,7 @@
 // Unit tests for the sweep execution substrate (src/exec): run_sweep's
 // parallel fork/join (submission slots, per-item failures, the jobs
-// contract), the plan memoization cache (keying, concurrency, metrics
-// counters), and the thread-local metrics registry redirect + merge the
-// sweep engine's deterministic accounting rests on.
+// contract) and the plan memoization cache (keying, concurrency, hit/miss
+// stats).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -17,7 +16,6 @@
 #include "src/programs/programs.h"
 #include "src/report/passlog.h"
 #include "src/support/diag.h"
-#include "src/support/metrics.h"
 
 namespace zc::exec {
 namespace {
@@ -107,20 +105,6 @@ TEST(PlanCache, KeySeparatesOptionsAndMachine) {
   EXPECT_EQ(comm::to_string(*p_past_half, tomcatv), want_past_half);
 }
 
-TEST(PlanCache, PublishesHitMissCountersToCurrentRegistry) {
-  const zir::Program program = parser::parse_program(kProgram);
-  const comm::OptOptions opts = comm::OptOptions::for_level(comm::OptLevel::kRR);
-
-  metrics::Registry local;
-  const metrics::ScopedRegistry scoped(local);
-  PlanCache cache;
-  cache.get_or_plan(program, opts);
-  cache.get_or_plan(program, opts);
-  cache.get_or_plan(program, opts);
-  EXPECT_EQ(local.counter("exec.plan_cache.misses"), 1);
-  EXPECT_EQ(local.counter("exec.plan_cache.hits"), 2);
-}
-
 TEST(PlanCache, ConcurrentRequestsPlanEachKeyOnce) {
   const zir::Program a = parser::parse_program(kProgram);
   const zir::Program b = parser::parse_program(kOtherProgram);
@@ -152,67 +136,6 @@ TEST(PlanCache, ConcurrentRequestsPlanEachKeyOnce) {
   std::set<const comm::CommPlan*> distinct;
   for (const auto& p : got) distinct.insert(p.get());
   EXPECT_EQ(distinct.size(), 8u);
-}
-
-TEST(Registry, MergeFromAddsCountersAndTakesGauges) {
-  metrics::Registry a;
-  metrics::Registry b;
-  a.count("x", 2);
-  a.gauge("g", 1.0);
-  b.count("x", 3);
-  b.count("y", 7);
-  b.gauge("g", 9.0);
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("x"), 5);
-  EXPECT_EQ(a.counter("y"), 7);
-  EXPECT_DOUBLE_EQ(a.gauge_value("g"), 9.0);
-  // Self-merge is a no-op, not a doubling.
-  a.merge_from(a);
-  EXPECT_EQ(a.counter("x"), 5);
-}
-
-TEST(Registry, MergeFromAddsHistogramsBucketwise) {
-  metrics::Registry a;
-  metrics::Registry b;
-  a.observe("h", 1.0, {2.0, 4.0});
-  b.observe("h", 3.0, {2.0, 4.0});
-  b.observe("h", 100.0, {2.0, 4.0});
-  a.merge_from(b);
-  const metrics::Histogram* h = a.find_histogram("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 3);
-  EXPECT_DOUBLE_EQ(h->sum, 104.0);
-  EXPECT_DOUBLE_EQ(h->min, 1.0);
-  EXPECT_DOUBLE_EQ(h->max, 100.0);
-  ASSERT_EQ(h->buckets.size(), 3u);
-  EXPECT_EQ(h->buckets[0], 1);  // 1.0 <= 2
-  EXPECT_EQ(h->buckets[1], 1);  // 3.0 <= 4
-  EXPECT_EQ(h->buckets[2], 1);  // 100.0 overflow
-}
-
-TEST(Registry, ScopedRegistryRedirectsAndRestores) {
-  metrics::Registry outer;
-  metrics::Registry inner;
-  const metrics::ScopedRegistry attach_outer(outer);
-  metrics::Registry::current().count("k");
-  {
-    const metrics::ScopedRegistry attach_inner(inner);
-    metrics::Registry::current().count("k");
-    metrics::Registry::current().count("k");
-  }
-  metrics::Registry::current().count("k");
-  EXPECT_EQ(outer.counter("k"), 2);
-  EXPECT_EQ(inner.counter("k"), 2);
-}
-
-TEST(Registry, CurrentIsPerThread) {
-  metrics::Registry mine;
-  const metrics::ScopedRegistry scoped(mine);
-  // Another thread has no redirect: its current() is global(), not ours.
-  const metrics::Registry* seen = nullptr;
-  std::thread([&] { seen = &metrics::Registry::current(); }).join();
-  EXPECT_EQ(seen, &metrics::Registry::global());
-  EXPECT_EQ(&metrics::Registry::current(), &mine);
 }
 
 // A small grid: every paper experiment on two suite programs at their test

@@ -1,6 +1,6 @@
 // Tests for the host-side profiler (src/prof): span-tree invariants, the
-// folded-stack and JSON exports, multi-threaded attachment, the
-// perf-budget gate, and — the load-bearing contract — that profiling never
+// folded-stack and JSON exports, multi-threaded attachment, the report's
+// host_profile block, and — the load-bearing contract — that profiling never
 // changes what the toolchain produces (plans and run results are
 // bit-identical profiled or not).
 #include <gtest/gtest.h>
@@ -301,7 +301,7 @@ TEST(ProfTest, ProfilingDoesNotChangeResults) {
   }
 }
 
-// --- report integration and the perf-budget gate --------------------------
+// --- report integration ---------------------------------------------------
 
 json::Value profiled_report(prof::Profiler* profiler) {
   const programs::BenchmarkInfo& info = programs::benchmark("swm");
@@ -314,8 +314,6 @@ json::Value profiled_report(prof::Profiler* profiler) {
   const driver::Metrics m = driver::run_experiment(program, e, std::move(cfg));
   driver::ReportOptions ropts;
   ropts.benchmark = "swm";
-  ropts.metrics_snapshot = false;  // the global registry varies run to run
-  ropts.provenance = false;
   ropts.host_profiler = profiler;
   return driver::build_report(m, e, procs, nullptr, ropts);
 }
@@ -328,7 +326,7 @@ TEST(ProfTest, ReportHostProfileBlock) {
     ZC_PROF_SPAN("report-root");
     with = profiled_report(&p);
   }
-  EXPECT_EQ(with.at("schema_version").number, 5.0);
+  EXPECT_EQ(with.at("schema_version").number, 6.0);
   ASSERT_TRUE(with.has("host_profile"));
   const json::Value& hp = with.at("host_profile");
   EXPECT_GT(hp.at("wall_seconds").number, 0.0);
@@ -341,62 +339,9 @@ TEST(ProfTest, ReportHostProfileBlock) {
   const json::Value without_b = profiled_report(nullptr);
   EXPECT_FALSE(without_a.has("host_profile"));
   EXPECT_EQ(without_a.dump(), without_b.dump());
-}
-
-json::Value scale_profile(json::Value doc, double factor) {
-  // Recursively scales host_profile durations, as report_diff's
-  // --scale-after-host testing aid does.
-  struct Scaler {
-    double f;
-    void walk(json::Value& v) const {
-      if (v.has("wall_seconds")) v["wall_seconds"].number *= f;
-      if (v.has("total_seconds")) v["total_seconds"].number *= f;
-      if (v.has("self_seconds")) v["self_seconds"].number *= f;
-      if (v.has("spans")) for (json::Value& s : v["spans"].array) walk(s);
-      if (v.has("children")) for (json::Value& s : v["children"].array) walk(s);
-    }
-  };
-  Scaler{factor}.walk(doc["host_profile"]);
-  return doc;
-}
-
-TEST(ProfTest, PerfBudgetDiff) {
-  prof::Profiler p;
-  json::Value report;
-  {
-    prof::Attach attach(&p);
-    ZC_PROF_SPAN("budget-root");
-    report = profiled_report(&p);
-  }
-
-  // Identical runs pass any budget.
-  const json::Value same = driver::perf_budget_diff(report, report, 20.0);
-  EXPECT_FALSE(same.at("regressed").boolean);
-  EXPECT_FALSE(same.at("wall").at("regressed").boolean);
-
-  // A 2x slowdown on everything blows a 20% budget (wall, at least; small
-  // spans may hide under the absolute noise floor). This test-scale run's
-  // measured wall is about one millisecond, the size of the default floor,
-  // so the baseline wall is pinned at 10 ms: a 2x wall then exceeds the
-  // budget plus the floor on any host.
-  json::Value base = report;
-  base["host_profile"]["wall_seconds"].number = 0.01;
-  const json::Value slow = scale_profile(base, 2.0);
-  const json::Value bad = driver::perf_budget_diff(base, slow, 20.0);
-  EXPECT_TRUE(bad.at("regressed").boolean);
-  EXPECT_TRUE(bad.at("wall").at("regressed").boolean);
-
-  // The absolute floor absorbs sub-millisecond jitter: with a huge floor
-  // nothing regresses.
-  const json::Value forgiven = driver::perf_budget_diff(base, slow, 20.0, /*abs_floor=*/1e9);
-  EXPECT_FALSE(forgiven.at("regressed").boolean);
-
-  // Reports without a host_profile are rejected, not mis-compared.
-  json::Value unprofiled = profiled_report(nullptr);
-  EXPECT_THROW(driver::perf_budget_diff(unprofiled, report, 20.0), Error);
 
   // diff_run_reports itself stays clean across asymmetric optional blocks.
-  const json::Value diff = driver::diff_run_reports(unprofiled, report);
+  const json::Value diff = driver::diff_run_reports(without_a, with);
   EXPECT_FALSE(diff.at("regressed").boolean);
   bool noted = false;
   for (const json::Value& b : diff.at("optional_blocks").array) {

@@ -6,7 +6,7 @@
 //   - cc group members partition the live transfers of their block;
 //   - pl placements stay within the feasible send interval and report a
 //     non-negative hoist;
-// plus unit coverage of the metrics registry and the JSON builder.
+// plus unit coverage of the JSON builder.
 #include <cmath>
 #include <map>
 #include <set>
@@ -24,7 +24,6 @@
 #include "src/support/diag.h"
 #include "src/support/io.h"
 #include "src/support/json.h"
-#include "src/support/metrics.h"
 
 namespace {
 
@@ -276,102 +275,6 @@ TEST(PassLogTest, ToStringNamesEveryPassWithProvenance) {
   EXPECT_NE(text.find("cc:"), std::string::npos);
   EXPECT_NE(text.find("pl:"), std::string::npos);
   EXPECT_NE(text.find("[block "), std::string::npos) << "decisions carry source anchors";
-}
-
-TEST(MetricsTest, CountersGaugesAndHistograms) {
-  metrics::Registry reg;
-  EXPECT_TRUE(reg.empty());
-  EXPECT_EQ(reg.counter("absent"), 0);
-  EXPECT_EQ(reg.gauge_value("absent"), 0.0);
-  EXPECT_EQ(reg.find_histogram("absent"), nullptr);
-
-  reg.count("runs");
-  reg.count("runs", 2);
-  reg.gauge("temp", 1.5);
-  reg.gauge("temp", 2.5);
-  reg.observe("sizes", 3.0, {2.0, 4.0});
-  reg.observe("sizes", 5.0, {99.0});  // later bounds are ignored
-
-  EXPECT_EQ(reg.counter("runs"), 3);
-  EXPECT_EQ(reg.gauge_value("temp"), 2.5);
-  const metrics::Histogram* h = reg.find_histogram("sizes");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2);
-  EXPECT_EQ(h->sum, 8.0);
-  EXPECT_EQ(h->min, 3.0);
-  EXPECT_EQ(h->max, 5.0);
-  ASSERT_EQ(h->bounds, (std::vector<double>{2.0, 4.0}));
-  EXPECT_EQ(h->buckets, (std::vector<long long>{0, 1, 1}));
-
-  const std::string text = reg.to_text();
-  EXPECT_NE(text.find("counter runs 3"), std::string::npos);
-  EXPECT_NE(text.find("gauge temp 2.5"), std::string::npos);
-  EXPECT_NE(text.find("hist sizes"), std::string::npos);
-
-  const json::Value doc = json::parse(reg.to_json().dump());
-  EXPECT_EQ(doc.at("counters").at("runs").number, 3.0);
-  EXPECT_EQ(doc.at("gauges").at("temp").number, 2.5);
-  EXPECT_EQ(doc.at("histograms").at("sizes").at("count").number, 2.0);
-
-  reg.reset();
-  EXPECT_TRUE(reg.empty());
-}
-
-TEST(MetricsTest, HistogramQuantilesPinnedOnKnownSamples) {
-  // Ten samples 1..10, one per bucket: the rank interpolation is exact, so
-  // the quantiles are pinnable values rather than bucket-resolution blurs.
-  metrics::Registry reg;
-  std::vector<double> bounds;
-  for (int i = 1; i <= 10; ++i) bounds.push_back(static_cast<double>(i));
-  for (int i = 1; i <= 10; ++i) reg.observe("latency", static_cast<double>(i), bounds);
-
-  const metrics::Histogram* h = reg.find_histogram("latency");
-  ASSERT_NE(h, nullptr);
-  EXPECT_DOUBLE_EQ(h->quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h->quantile(0.50), 5.0);
-  EXPECT_DOUBLE_EQ(h->quantile(0.90), 9.0);
-  EXPECT_DOUBLE_EQ(h->quantile(0.99), 9.9);
-  EXPECT_DOUBLE_EQ(h->quantile(1.0), 10.0);
-
-  // Values beyond the last bound land in the overflow bucket and clamp to
-  // the observed max rather than extrapolating to infinity.
-  reg.observe("over", 1.0, {2.0});
-  reg.observe("over", 50.0, {2.0});
-  const metrics::Histogram* o = reg.find_histogram("over");
-  ASSERT_NE(o, nullptr);
-  EXPECT_LE(o->quantile(0.99), 50.0);
-  EXPECT_GE(o->quantile(0.99), 2.0);
-
-  // Empty histogram: quantiles are defined (0), never NaN.
-  const metrics::Histogram empty;
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-
-  // Both expositions carry the summaries.
-  const std::string text = reg.to_text();
-  EXPECT_NE(text.find("hist latency count 10"), std::string::npos);
-  EXPECT_NE(text.find(" p50 5 p90 9 p99 9.9"), std::string::npos);
-  const json::Value doc = json::parse(reg.to_json().dump());
-  EXPECT_DOUBLE_EQ(doc.at("histograms").at("latency").at("p50").number, 5.0);
-  EXPECT_DOUBLE_EQ(doc.at("histograms").at("latency").at("p90").number, 9.0);
-  EXPECT_DOUBLE_EQ(doc.at("histograms").at("latency").at("p99").number, 9.9);
-}
-
-TEST(MetricsTest, OptimizerAndDriverPublish) {
-  auto& reg = metrics::Registry::global();
-  reg.reset();
-
-  const programs::BenchmarkInfo& info = programs::benchmark("tomcatv");
-  driver::run_source(info.source, driver::experiment("pl"), 4, info.test_configs);
-
-  EXPECT_EQ(reg.counter("driver.experiments"), 1);
-  EXPECT_EQ(reg.counter("opt.plans"), 1);
-  EXPECT_GT(reg.counter("opt.transfers_generated"), 0);
-  EXPECT_GT(reg.counter("sim.communications"), 0);
-  EXPECT_GT(reg.gauge_value("driver.last_execution_seconds"), 0.0);
-  EXPECT_EQ(reg.gauge_value("driver.last_dynamic_count"),
-            static_cast<double>(reg.counter("sim.communications")));
-  EXPECT_NE(reg.find_histogram("opt.sr_hoist_stmts"), nullptr);
-  reg.reset();
 }
 
 TEST(JsonBuilderTest, DumpParseRoundTrip) {

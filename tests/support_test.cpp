@@ -7,7 +7,6 @@
 #include "src/support/csv.h"
 #include "src/support/diag.h"
 #include "src/support/json.h"
-#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/support/table.h"
 

@@ -1,7 +1,7 @@
 // Determinism stress for the parallel sweep engine: the same grid run on
 // 8 concurrent workers, 20 repetitions, must be bit-identical to a serial
 // golden in every observable — result checksums, the communication plans
-// executed, trace Stats, and the merged metrics registry. This is the
+// executed, counts and trace Stats. This is the
 // enforcement teeth behind the contract documented in src/exec/sweep.h;
 // it is labeled `tsan` so a -DZC_SANITIZE=thread build races it hard.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "src/exec/sweep.h"
 #include "src/parser/parser.h"
 #include "src/programs/programs.h"
-#include "src/support/metrics.h"
 
 namespace zc::exec {
 namespace {
@@ -73,19 +72,14 @@ struct Golden {
 
 TEST(SweepDeterminism, EightWorkersTimesTwentyRepsMatchSerialGolden) {
   // Serial golden: one repetition of the grid through the inline jobs=1
-  // path with its own plan cache and its own merged registry.
+  // path with its own plan cache.
   const std::vector<SweepItem> base = grid_rep(0);
   PlanCache golden_cache;
   SweepOptions golden_opts;
   golden_opts.jobs = 1;
   golden_opts.plan_cache = &golden_cache;
 
-  metrics::Registry golden_registry;
-  std::vector<SweepResult> golden_results;
-  {
-    const metrics::ScopedRegistry scoped(golden_registry);
-    golden_results = run_sweep(base, golden_opts);
-  }
+  const std::vector<SweepResult> golden_results = run_sweep(base, golden_opts);
   ASSERT_EQ(golden_results.size(), base.size());
   std::vector<Golden> golden(base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -111,12 +105,7 @@ TEST(SweepDeterminism, EightWorkersTimesTwentyRepsMatchSerialGolden) {
   stress_opts.jobs = kWorkers;
   stress_opts.plan_cache = &stress_cache;
 
-  metrics::Registry stress_registry;
-  std::vector<SweepResult> results;
-  {
-    const metrics::ScopedRegistry scoped(stress_registry);
-    results = run_sweep(items, stress_opts);
-  }
+  const std::vector<SweepResult> results = run_sweep(items, stress_opts);
   ASSERT_EQ(results.size(), base.size() * kReps);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -140,13 +129,6 @@ TEST(SweepDeterminism, EightWorkersTimesTwentyRepsMatchSerialGolden) {
   EXPECT_EQ(cs.hits + cs.misses,
             static_cast<long long>(results.size()));
   EXPECT_GT(cs.hits, 0);
-
-  // Merged metrics are deterministic too: the stress registry's counters are
-  // exactly kReps x the golden's (submission-order merge, per-task isolation).
-  EXPECT_EQ(stress_registry.counter("sim.runs"),
-            golden_registry.counter("sim.runs") * kReps);
-  EXPECT_EQ(stress_registry.counter("sim.messages"),
-            golden_registry.counter("sim.messages") * kReps);
 }
 
 // Identical plans are not just equal text — cache hits share the same plan

@@ -78,15 +78,6 @@ TEST(Windows, SpanStartingOnARoundedWindowEdgeIsKept) {
   EXPECT_NEAR(w.channel_total(0), t1 - t0, 1e-15);
 }
 
-TEST(Windows, PointSamplesLandInTheirWindow) {
-  Windows w(1, 1, 4, 1.0);
-  w.add_at(0, 0, 1.5, 3.0);
-  w.add_at(0, 0, 1.9, 2.0);
-  EXPECT_DOUBLE_EQ(w.value(0, 0, 1), 5.0);
-  w.add_at(0, 0, 100.0, 1.0);  // folds until t fits
-  EXPECT_NEAR(w.channel_total(0), 6.0, 1e-12);
-}
-
 TEST(Windows, SingleWindowDegeneratesToATotal) {
   Windows w(1, 1, 1, 1.0);
   w.add_span(0, 0, 0.0, 10.0);

@@ -137,7 +137,7 @@ TEST(TimeSeries, RunReportGainsTheTimelineBlockAndStaysDiffable) {
   bare.procs = kProcs;
   bare.config_overrides = info.test_configs;
   const json::Value without = driver::run_report(program, exp, bare);
-  EXPECT_EQ(without.at("schema_version").number, 5.0);
+  EXPECT_EQ(without.at("schema_version").number, 6.0);
   EXPECT_FALSE(without.has("timeline"));
 
   tseries::SimSeries series(kProcs);
